@@ -13,9 +13,6 @@ Times the same Lemma 1 all-pairs query through each sketch backend:
 * ``mmap_warm`` — the same provider re-queried over already-mapped pages;
 * ``chunked_build`` — :class:`~repro.engine.providers.ChunkedBuildProvider`
   computing window covariances on demand from raw data;
-* ``parallel_*`` — :func:`~repro.parallel.executor.parallel_query` fan-out
-  over each backend (shared-memory shipping for in-memory sketches, path
-  handoff for SQLite and mmap stores);
 * ``convert_*`` — the sketch→store conversion cost per backend (the §3.4
   ingestion-side write path).
 
@@ -69,7 +66,6 @@ from repro.engine.providers import (
     MmapProvider,
     StoreProvider,
 )
-from repro.parallel.executor import parallel_query
 from repro.storage.mmap_store import MmapStore
 from repro.storage.serialize import save_sketch
 from repro.storage.sqlite_store import SqliteSketchStore
@@ -80,7 +76,6 @@ BASIC_WINDOW = 50
 QUERY = (2999, 2000)  # aligned: 40 basic windows
 ARBITRARY_QUERY = (2971, 1903)  # head/tail fragments at both ends
 REPEATS = 5
-PARALLEL_WORKERS = 4
 
 #: n-stations scale axis: records grow as n^2, tracking where the backends'
 #: cold-query ranking shifts as collections approach deployment size.
@@ -215,55 +210,6 @@ def run(store_dir: Path) -> dict:
         ARBITRARY_QUERY,
     )
 
-    # Parallel fan-out over every backend (aligned query only). Each repeat
-    # pays the full fork + handoff cost, which is the honest deployment shape.
-    plan_windows = np.arange(
-        (QUERY[0] + 1 - QUERY[1]) // BASIC_WINDOW, (QUERY[0] + 1) // BASIC_WINDOW
-    )
-    in_memory = InMemoryProvider(sketch)
-    np.testing.assert_allclose(
-        parallel_query(
-            plan_windows, n_workers=PARALLEL_WORKERS, provider=in_memory
-        ).matrix,
-        reference,
-        atol=1e-10,
-    )
-    record(
-        "parallel_memory_shm",
-        _best_of(
-            lambda: parallel_query(
-                plan_windows, n_workers=PARALLEL_WORKERS, provider=in_memory
-            ),
-            repeats=3,
-        ),
-        QUERY,
-        {"n_workers": PARALLEL_WORKERS},
-    )
-    with SqliteSketchStore(store_path) as store:
-        sqlite_provider = StoreProvider(store)
-        record(
-            "parallel_sqlite",
-            _best_of(
-                lambda: parallel_query(
-                    plan_windows, n_workers=PARALLEL_WORKERS, provider=sqlite_provider
-                ),
-                repeats=3,
-            ),
-            QUERY,
-            {"n_workers": PARALLEL_WORKERS},
-        )
-    record(
-        "parallel_mmap",
-        _best_of(
-            lambda: parallel_query(
-                plan_windows, n_workers=PARALLEL_WORKERS, provider=mmap_provider
-            ),
-            repeats=3,
-        ),
-        QUERY,
-        {"n_workers": PARALLEL_WORKERS},
-    )
-
     # Chunked on-demand build (cold per repeat: fresh provider, tiny cache).
     def chunked_query():
         provider = ChunkedBuildProvider(
@@ -281,7 +227,6 @@ def run(store_dir: Path) -> dict:
             "n_points": N_POINTS,
             "basic_window": BASIC_WINDOW,
             "repeats": REPEATS,
-            "parallel_workers": PARALLEL_WORKERS,
             "scale_stations": list(SCALE_STATIONS),
             "scale_points": SCALE_POINTS,
             "ns_scale_windows": list(NS_SCALE_WINDOWS),
@@ -478,7 +423,6 @@ def run_service(store_dir: Path) -> list[dict]:
                 "coalesced": stats.coalesced,
                 "coalesce_rate": round(stats.coalesce_rate, 4),
                 "matrices_computed": stats.matrices_computed,
-                "prefetched_windows": stats.prefetched_windows,
                 "service_workers": max_workers,
             })
     rows.extend(run_service_remote(mmap_path, specs))

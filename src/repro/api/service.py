@@ -17,15 +17,15 @@ one shared sketch provider. Three things make it more than a thread wrapper:
   recomputation (flagged ``cache=True`` in their provenance). Providers are
   immutable snapshots, so cached matrices never go stale within a service's
   lifetime.
-* **Batched store reads** — before a drained batch of queued requests is
-  dispatched, the union of every request's basic windows is prefetched
-  through the provider's existing LRU in one batched read
-  (:meth:`~repro.engine.providers.StoreProvider.prefetch`), so requests that
-  arrive together share store round-trips instead of issuing N overlapping
-  scans.
 * **Observability** — :meth:`TsubasaService.stats` reports queue depth,
-  in-flight count, coalesce rate, prefetched windows, and per-backend
+  in-flight count, coalesce rate, result-cache hit rate, and per-backend
   latency, the numbers a deployment watches.
+
+The service only queues, coalesces and caches: a dispatcher takes each
+queued request in arrival order and serves it, and every matrix it needs is
+computed by :meth:`~repro.api.client.TsubasaClient.compute_matrix`, serially
+through the provider. Overlapping store reads are shared through the
+provider's own record cache.
 
 Matrix computations run on a dedicated thread pool so the event loop stays
 responsive. The default of one executor thread serializes backend access,
@@ -58,13 +58,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.api.client import MatrixExecution, TsubasaClient
 from repro.api.spec import QueryResult, QuerySpec
-from repro.engine.providers import SketchProvider
-from repro.exceptions import (
-    DataError,
-    DeadlineExceeded,
-    ServiceError,
-    TsubasaError,
-)
+from repro.exceptions import DataError, DeadlineExceeded, ServiceError
 
 __all__ = ["TsubasaService", "ServiceStats", "BackendLatency", "run_specs"]
 
@@ -97,7 +91,6 @@ class ServiceStats:
         failed: Specs that raised.
         coalesced: Requests that shared an in-flight matrix computation.
         matrices_computed: Matrix computations actually executed.
-        prefetched_windows: Window records batch-read ahead of dispatch.
         queue_depth: Requests currently waiting for dispatch.
         max_queue_depth: High-water mark of the dispatch queue.
         in_flight: Matrix computations currently running or awaited.
@@ -118,7 +111,6 @@ class ServiceStats:
     failed: int
     coalesced: int
     matrices_computed: int
-    prefetched_windows: int
     queue_depth: int
     max_queue_depth: int
     in_flight: int
@@ -148,7 +140,6 @@ class ServiceStats:
             "coalesced": self.coalesced,
             "coalesce_rate": self.coalesce_rate,
             "matrices_computed": self.matrices_computed,
-            "prefetched_windows": self.prefetched_windows,
             "queue_depth": self.queue_depth,
             "max_queue_depth": self.max_queue_depth,
             "in_flight": self.in_flight,
@@ -195,11 +186,6 @@ class TsubasaService:
             ``thread_safe_reads`` (mmap, in-memory); cache-bearing
             providers (``StoreProvider``, ``ChunkedBuildProvider``) must
             stay at the default of 1.
-        max_batch: Maximum queued requests drained per dispatch round (the
-            unit of prefetch batching).
-        prefetch: Batch-read the union of a dispatch round's windows through
-            the provider cache before executing (on by default; only
-            backends implementing ``prefetch`` do any work).
         result_cache: Finished matrices kept in a bounded LRU keyed by
             :meth:`~repro.api.client.TsubasaClient.matrix_key` and replayed
             to later identical demands. ``0`` (the default) disables the
@@ -210,8 +196,6 @@ class TsubasaService:
         self,
         client: TsubasaClient,
         max_workers: int = 1,
-        max_batch: int = 64,
-        prefetch: bool = True,
         result_cache: int = 0,
     ) -> None:
         if not isinstance(client, TsubasaClient):
@@ -233,22 +217,18 @@ class TsubasaService:
                 f"concurrent reads; use max_workers=1 (or an mmap/in-memory "
                 "provider for multi-threaded service execution)"
             )
-        if max_batch <= 0:
-            raise DataError("max_batch must be positive")
         if result_cache < 0:
             raise DataError("result_cache must be >= 0")
         self._client = client
         self._max_workers = max_workers
-        self._max_batch = max_batch
-        self._prefetch_enabled = prefetch
         self._queue: asyncio.Queue[_Request] | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._dispatcher: asyncio.Task | None = None
         self._serve_tasks: set[asyncio.Task] = set()
         self._inflight: dict[tuple, asyncio.Task] = {}
         # Every accepted request's future, until it resolves — the drain set
-        # aclose() waits on (the queue alone can look empty while a batch is
-        # in the dispatcher's hands).
+        # aclose() waits on (the queue alone can look empty while a request
+        # is in the dispatcher's hands).
         self._open_requests: set[asyncio.Future] = set()
         self._closed = False
         # Counters (event-loop confined; mutated only from loop callbacks).
@@ -257,7 +237,6 @@ class TsubasaService:
         self._failed = 0
         self._coalesced = 0
         self._matrices = 0
-        self._prefetched = 0
         self._max_queue_depth = 0
         self._deadline_shed = 0
         self._latency: dict[str, list[float]] = {}
@@ -296,8 +275,8 @@ class TsubasaService:
         self._closed = True
         # Let already-accepted requests finish before tearing down. Waiting
         # on the request futures (not the queue or serve tasks) is immune to
-        # the window where the dispatcher holds a drained batch that has no
-        # serve tasks yet.
+        # the window where the dispatcher holds a dequeued request that has
+        # no serve task yet.
         while self._open_requests:
             await asyncio.wait(set(self._open_requests))
         if self._dispatcher is not None:
@@ -352,69 +331,12 @@ class TsubasaService:
         return await request.future
 
     async def _dispatch_loop(self) -> None:
-        while True:
-            batch = [await self._queue.get()]
-            while len(batch) < self._max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            try:
-                await self._prefetch_batch(batch)
-                for request in batch:
-                    task = asyncio.get_running_loop().create_task(
-                        self._serve_one(request)
-                    )
-                    self._serve_tasks.add(task)
-                    task.add_done_callback(self._serve_tasks.discard)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # The dispatcher must outlive any batch: fail the batch's
-                # requests and keep serving (a dead dispatcher would strand
-                # every later submitter on a never-resolved future).
-                for request in batch:
-                    if not request.future.done():
-                        self._failed += 1
-                        request.future.set_exception(exc)
-
-    async def _prefetch_batch(self, batch: list[_Request]) -> None:
-        """One batched store read covering every queued request's windows."""
-        provider = self._client.provider
-        if not self._prefetch_enabled or provider is None:
-            return
-        if type(provider).prefetch is SketchProvider.prefetch:
-            # The backend kept the no-op default (memory, mmap): skip the
-            # window planning and executor round-trip entirely — this runs
-            # on every dispatch round of the service hot path.
-            return
-        union: set[int] = set()
-        for request in batch:
-            if request.spec.engine != "exact":
-                continue  # approx matrices never touch the record store
-            for window in request.spec.windows:
-                try:
-                    key = self._client.matrix_key(request.spec, window)
-                    if key in self._inflight:
-                        continue  # already being computed; cache is warm
-                    if self._result_capacity and key in self._results:
-                        continue  # finished result replayed; no reads at all
-                    selection = self._client.selection_for(window)
-                except TsubasaError:
-                    continue  # invalid window; _serve_one reports it
-                union.update(int(i) for i in selection.full_windows)
-        if not union:
-            return
         loop = asyncio.get_running_loop()
-        try:
-            fetched = await loop.run_in_executor(
-                self._executor, self._client.prefetch, sorted(union)
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            return  # prefetch is best-effort; queries surface real errors
-        self._prefetched += int(fetched)
+        while True:
+            request = await self._queue.get()
+            task = loop.create_task(self._serve_one(request))
+            self._serve_tasks.add(task)
+            task.add_done_callback(self._serve_tasks.discard)
 
     def _matrix_task(self, spec: QuerySpec, window) -> tuple[object, bool]:
         """The (possibly shared) awaitable computing one window's matrix."""
@@ -490,7 +412,7 @@ class TsubasaService:
             coalesced = False
             executions: list[MatrixExecution] = []
             # Resolve both windows' tasks *before* awaiting either, so a
-            # diff-network's windows coalesce with everything in the batch.
+            # diff-network's windows coalesce with everything in flight.
             tasks = []
             for window in spec.windows:
                 task, shared = self._matrix_task(spec, window)
@@ -546,7 +468,6 @@ class TsubasaService:
             failed=self._failed,
             coalesced=self._coalesced,
             matrices_computed=self._matrices,
-            prefetched_windows=self._prefetched,
             queue_depth=self._queue.qsize() if self._queue is not None else 0,
             max_queue_depth=self._max_queue_depth,
             in_flight=len(self._inflight),

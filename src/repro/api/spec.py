@@ -5,7 +5,7 @@ networks over arbitrary windows, top-k / most-anticorrelated pairs, node
 neighborhoods, correlation-band scans, degree profiles, and diff-networks
 between two windows — is described by one frozen, validated, serializable
 :class:`QuerySpec`. The spec is *what* is being asked; *how* it is answered
-(which sketch backend, serial vs parallel execution, cache state) is decided
+(which sketch backend, prefix or direct combination, cache state) is decided
 by :class:`~repro.api.client.TsubasaClient` and reported back in the
 :class:`QueryResult` envelope's :class:`Provenance`.
 
@@ -370,12 +370,10 @@ class Provenance:
         backend: Sketch backend identifier (``"memory"``, ``"store"``,
             ``"mmap"``, ``"chunked"``, ...).
         engine: ``"exact"`` or ``"approx"``.
-        execution: ``"serial"`` or ``"parallel"``.
         path: Combination strategy: ``"prefix"`` when the matrix came from
             prefix-aggregate tables (:mod:`repro.core.prefix`, O(n^2) per
             query), ``"direct"`` for the streaming Lemma 1 reduction over
             the selected windows.
-        n_workers: Worker processes used (1 for serial execution).
         coalesced: Whether this request shared an in-flight matrix
             computation instead of running its own (service layer).
         cache: Whether the matrix was served from the service's bounded
@@ -387,9 +385,7 @@ class Provenance:
 
     backend: str
     engine: str = "exact"
-    execution: str = "serial"
     path: str = "direct"
-    n_workers: int = 1
     coalesced: bool = False
     cache: bool = False
     cache_hits: int = 0
@@ -400,9 +396,7 @@ class Provenance:
         return {
             "backend": self.backend,
             "engine": self.engine,
-            "execution": self.execution,
             "path": self.path,
-            "n_workers": self.n_workers,
             "coalesced": self.coalesced,
             "cache": self.cache,
             "cache_hits": self.cache_hits,

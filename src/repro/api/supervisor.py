@@ -94,7 +94,6 @@ def _worker_main(config: WorkerConfig, port: int, ready) -> None:
         cache_windows=config.cache_windows,
         data=config.data,
         prefix=config.prefix,
-        parallel=0,
     )
 
     async def run() -> None:

@@ -72,8 +72,7 @@ import time
 
 import numpy as np
 
-from repro.analysis.topology import summarize_topology
-from repro.api.client import ParallelPolicy, TsubasaClient
+from repro.api.client import TsubasaClient
 from repro.api.service import TsubasaService
 from repro.api.spec import QuerySpec, WindowSpec
 from repro.core.exact import TsubasaHistorical
@@ -153,6 +152,8 @@ def _load_dataset(path: str) -> StationDataset:
 
 
 def _print_network(network: ClimateNetwork, max_edges: int) -> None:
+    from repro.analysis.topology import summarize_topology
+
     summary = summarize_topology(network)
     print(f"nodes={summary.n_nodes} edges={summary.n_edges} "
           f"density={summary.density:.4f} components={summary.n_components} "
@@ -270,10 +271,7 @@ def _open_provider(
 
 def _open_client(store: SketchStore, args: argparse.Namespace) -> TsubasaClient:
     """Build the declarative query client over the selected backend."""
-    policy = None
-    if getattr(args, "parallel", 0):
-        policy = ParallelPolicy(args.parallel)
-    return TsubasaClient(provider=_open_provider(store, args), policy=policy)
+    return TsubasaClient(provider=_open_provider(store, args))
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
@@ -303,11 +301,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return exit_code_for(exc)
     provenance = result.provenance
-    mode = "" if provenance.execution == "serial" else (
-        f", {provenance.execution} x{provenance.n_workers}"
-    )
-    if provenance.path != "direct":
-        mode += f", {provenance.path} path"
+    mode = "" if provenance.path == "direct" else f", {provenance.path} path"
     print(f"query answered from sketches in "
           f"{result.timings['total'] * 1e3:.1f} ms "
           f"({provenance.backend} backend{mode})")
@@ -409,7 +403,6 @@ async def _serve_jsonl(
     stdin,
     stdout,
     max_workers: int,
-    max_batch: int,
     max_pending: int = 256,
     result_cache: int = 0,
     hub=None,
@@ -569,8 +562,7 @@ async def _serve_jsonl(
             subscription.close()
 
     async with TsubasaService(
-        client, max_workers=max_workers, max_batch=max_batch,
-        result_cache=result_cache,
+        client, max_workers=max_workers, result_cache=result_cache,
     ) as service:
         printer = loop.create_task(print_responses())
         subscriptions: set[asyncio.Task] = set()
@@ -666,8 +658,7 @@ async def _serve_jsonl(
             f"served {emitted['ok']} ok / {emitted['failed']} "
             f"failed ({n_rejected} malformed, {stats.coalesced} coalesced, "
             f"{stats.matrices_computed} matrices computed, "
-            f"{stats.result_cache_hits} cache hits, "
-            f"{stats.prefetched_windows} windows prefetched"
+            f"{stats.result_cache_hits} cache hits"
             f"{hangup_note})",
             file=sys.stderr,
         )
@@ -737,7 +728,6 @@ async def _serve_http(client: TsubasaClient, args: argparse.Namespace) -> int:
     service = TsubasaService(
         client,
         max_workers=args.workers,
-        max_batch=args.max_batch,
         result_cache=args.result_cache,
     )
     hub, source = _open_stream(client, args)
@@ -846,7 +836,6 @@ def _serve_supervised(args: argparse.Namespace) -> int:
         host=host,
         service_kwargs={
             "max_workers": 1,
-            "max_batch": args.max_batch,
             "result_cache": args.result_cache,
         },
         server_kwargs={
@@ -914,7 +903,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 sys.stdin,
                 sys.stdout,
                 max_workers=args.workers,
-                max_batch=args.max_batch,
                 max_pending=args.max_pending,
                 result_cache=args.result_cache,
                 hub=hub,
@@ -1019,9 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
     qr.add_argument("--alpha", type=float, default=None,
                     help="derive theta from a significance level instead")
     qr.add_argument("--max-edges", type=int, default=10)
-    qr.add_argument("--parallel", type=int, default=0,
-                    help="fan the matrix computation out over N worker "
-                         "processes (0 = serial)")
     add_backend_args(qr)
     qr.set_defaults(func=_cmd_query)
 
@@ -1097,9 +1082,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "sharing the port, each with its own event loop "
                          "and service (restarted on crash, drained on "
                          "SIGTERM)")
-    sv.add_argument("--max-batch", type=int, default=64,
-                    help="queued requests drained per dispatch round (the "
-                         "unit of batched store prefetch)")
     sv.add_argument("--max-pending", type=int, default=256,
                     help="responses allowed ahead of the printer before the "
                          "reader pauses stdin (bounds in-flight memory)")

@@ -10,12 +10,15 @@ node metadata (geographic coordinates, when available) and the edge weights
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.core.matrix import CorrelationMatrix, count_edges
 from repro.exceptions import DataError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ClimateNetwork"]
 
@@ -108,6 +111,8 @@ class ClimateNetwork:
 
         Node attributes include ``lat``/``lon`` when coordinates are known.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for name in self.names:
             attrs = {}

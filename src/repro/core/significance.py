@@ -26,7 +26,6 @@ flexibility argument of the paper's introduction.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import DataError
 
@@ -61,6 +60,8 @@ def critical_correlation(
         if n_comparisons <= 0:
             raise DataError("n_comparisons must be positive")
         alpha = alpha / n_comparisons
+    from scipy import stats
+
     dof = n_samples - 2
     t_crit = float(stats.t.ppf(1.0 - alpha / 2.0, dof))
     return t_crit / np.sqrt(dof + t_crit * t_crit)
@@ -82,6 +83,8 @@ def correlation_pvalues(corr: np.ndarray, n_samples: int) -> np.ndarray:
         raise DataError(f"expected a square matrix, got shape {matrix.shape}")
     if n_samples <= 2:
         raise DataError(f"need more than 2 samples, got {n_samples}")
+    from scipy import stats
+
     dof = n_samples - 2
     clipped = np.clip(matrix, -1.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,21 +14,18 @@ the SQLite store standing in for PostgreSQL:
   results through the single writer (the driver process plays the database
   worker), and report the calculation/write split of Fig. 6a.
 * :func:`parallel_query` — fan out per-partition Lemma 1 row-block
-  computation over **any** sketch provider and report the read/calculation
-  split of Fig. 6b. No provider is materialized before fan-out; each backend
-  has a native worker handoff instead:
+  computation and report the read/calculation split of Fig. 6b. It has two
+  sources:
 
-  * mmap-backed providers hand workers the store *directory path* — each
-    worker re-maps the arrays in its own process and reads its row block
-    zero-copy through the OS page cache;
-  * SQLite-backed providers (and the legacy ``store_path`` argument) hand
-    workers the database path — each worker opens its own connection, as in
-    §3.4;
-  * every other provider (in-memory sketches, chunked builds, stores without
-    a filesystem path) streams the selection's covariance tensor into one
-    ``multiprocessing.shared_memory`` block that all workers attach to and
-    slice — the tensor crosses the process boundary zero times instead of
-    being pickled per worker.
+  * a SQLite store path — each worker opens its own connection and reads
+    the window records it needs, as in §3.4;
+  * an in-memory sketch — the selection's covariance tensor is copied once
+    into a ``multiprocessing.shared_memory`` block that all workers attach
+    to and slice, so it is never pickled per worker.
+
+This executor is the Fig. 6b/6c experiment, not a serving path: the query
+client and service compute every matrix serially in-process, which beats a
+process fan-out at every measured size.
 
 ``n_workers=1`` short-circuits to in-process execution (no fork, no shared
 memory), which keeps tests deterministic and makes the worker functions
@@ -61,7 +58,7 @@ __all__ = [
     "query_partition",
 ]
 
-#: Windows per chunk when streaming a provider's selection into shared memory.
+#: Windows per chunk when copying a sketch's selection into shared memory.
 SHM_FILL_CHUNK_WINDOWS = 64
 
 # Worker globals installed by the pool initializer (fork-safe, read-only).
@@ -145,17 +142,6 @@ class ParallelQueryResult:
     def total_seconds(self) -> float:
         """Read plus calculation time (the stacked bars of Fig. 6b)."""
         return self.read_seconds + self.calc_seconds
-
-    def as_matrix(self, names: list[str]):
-        """The assembled result as a labeled correlation matrix.
-
-        Convenience for callers (the declarative query client) that route a
-        parallel run into the same post-processing operators as serial
-        execution.
-        """
-        from repro.core.matrix import CorrelationMatrix
-
-        return CorrelationMatrix(names=list(names), values=self.matrix)
 
 
 def sketch_partition(
@@ -333,27 +319,6 @@ def query_partition(
     return rows, block, 0.0
 
 
-def _provider_partition(
-    rows: np.ndarray, window_indices: np.ndarray, provider
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One row-block computed straight off a provider (in-process mode)."""
-    from repro.engine.providers import InMemoryProvider
-
-    rows = np.asarray(rows, dtype=np.int64)
-    idx = np.asarray(window_indices, dtype=np.int64)
-    start = time.perf_counter()
-    means, stds, sizes = provider.window_stats(idx)
-    cov_block = provider.cov_rows(idx, rows)
-    read_seconds = time.perf_counter() - start
-    if isinstance(provider, InMemoryProvider):
-        # Pure array slicing is calculation, not a read phase: keep the
-        # Fig. 6b split consistent with the multi-worker shared-memory path,
-        # which also reports zero reads for in-memory backends.
-        read_seconds = 0.0
-    block = combine_rows(means, stds, cov_block, sizes, rows)
-    return rows, block, read_seconds
-
-
 def _run_query_partition(
     rows: np.ndarray, window_indices: np.ndarray, spec: dict
 ) -> tuple[np.ndarray, np.ndarray, float]:
@@ -363,8 +328,6 @@ def _run_query_partition(
 
     * ``"sqlite"`` — open an own connection to ``spec["path"]`` and read the
       selected window records;
-    * ``"mmap"`` — re-map the store directory at ``spec["path"]`` and read
-      this partition's covariance rows zero-copy;
     * ``"shm"`` — attach the parent's shared-memory covariance block and
       slice it (no store I/O; the selection's statistics ride in the spec).
     """
@@ -387,18 +350,6 @@ def _run_query_partition(
             rows,
         )
         return rows, block, read_seconds
-    if mode == "mmap":
-        from repro.engine.providers import MmapProvider
-
-        start = time.perf_counter()
-        provider = MmapProvider(spec["path"])
-        map_seconds = time.perf_counter() - start
-        # The provider's row-gather is the worker's only read of the pairs
-        # file: it faults in exactly this partition's rows of the selection.
-        rows, block, read_seconds = _provider_partition(
-            rows, window_indices, provider
-        )
-        return rows, block, map_seconds + read_seconds
     if mode == "shm":
         block_shm = _attach_shared_block(spec["shm_name"])
         try:
@@ -422,24 +373,24 @@ def _query_partition_task(args):
 
 
 def _fill_shared_covs(
-    provider, window_indices: np.ndarray, n_series: int
+    sketch: Sketch, window_indices: np.ndarray
 ) -> tuple[shared_memory.SharedMemory, tuple[int, int, int]]:
-    """Stream a provider's selected covariances into a shared-memory block.
+    """Copy a sketch's selected covariances into a shared-memory block.
 
-    One chunked pass over the provider — the selection tensor is written
-    directly into the OS shared segment, never materialized as a
-    :class:`Sketch` and never pickled to the workers.
+    The copy runs in chunks of windows, so the selection tensor is written
+    straight into the OS shared segment without a full temporary, and it is
+    never pickled to the workers.
     """
     k = int(window_indices.size)
+    n_series = sketch.n_series
     shape = (k, n_series, n_series)
     nbytes = max(8 * k * n_series * n_series, 1)
     block = shared_memory.SharedMemory(create=True, size=nbytes)
     try:
         covs = np.ndarray(shape, dtype=np.float64, buffer=block.buf)
-        offset = 0
-        for chunk in provider.iter_cov_chunks(window_indices, SHM_FILL_CHUNK_WINDOWS):
-            covs[offset : offset + chunk.shape[0]] = chunk
-            offset += chunk.shape[0]
+        for start in range(0, k, SHM_FILL_CHUNK_WINDOWS):
+            chunk = window_indices[start : start + SHM_FILL_CHUNK_WINDOWS]
+            covs[start : start + chunk.size] = sketch.covs[chunk]
         del covs
     except BaseException:
         block.close()
@@ -454,9 +405,8 @@ def parallel_query(
     sketch: Sketch | None = None,
     store_path: str | Path | None = None,
     n_series: int | None = None,
-    provider=None,
 ) -> ParallelQueryResult:
-    """All-pairs Lemma 1 query with partitioned workers, over any backend.
+    """All-pairs Lemma 1 query with partitioned workers.
 
     Args:
         window_indices: Basic windows forming the (aligned) query window.
@@ -465,105 +415,55 @@ def parallel_query(
         store_path: SQLite store path (disk-based mode; workers read their
             own sketches, as in §3.4).
         n_series: Required in disk-based mode without a sketch.
-        provider: Any :class:`~repro.engine.providers.SketchProvider`
-            backend, mutually exclusive with ``sketch``/``store_path``.
-            Mmap-backed providers hand workers the store directory (each
-            worker re-maps, zero-copy); SQLite-backed providers hand workers
-            the database path (own connections); every other backend streams
-            the selection's covariances into a ``multiprocessing``
-            shared-memory block that workers slice — nothing is materialized
-            into a :class:`Sketch` or pickled before fan-out.
 
     Returns:
         A :class:`ParallelQueryResult` with the full matrix and read/calc
         split.
     """
     window_indices = np.asarray(window_indices, dtype=np.int64)
-    if provider is not None and (sketch is not None or store_path is not None):
-        raise DataError("give either a provider or sketch/store_path, not both")
     if sketch is not None and store_path is not None:
         # Ambiguous: the two sources could hold different sketches and the
         # answering backend must not depend on the worker count.
         raise DataError("give either sketch or store_path, not both")
-    if sketch is not None:
-        from repro.engine.providers import InMemoryProvider
-
-        provider = InMemoryProvider(sketch)
-    if provider is None and store_path is None:
-        raise DataError("either sketch, store_path, or provider must be provided")
+    if sketch is None and store_path is None:
+        raise DataError("either sketch or store_path must be provided")
     if n_workers <= 0:
         raise DataError("n_workers must be positive")
 
     spec: dict | None = None
-    task_indices = window_indices
     if store_path is not None:
         if n_series is None:
             with SqliteSketchStore(store_path) as store:
                 n_series = len(store.read_metadata().names)
         spec = {"mode": "sqlite", "path": str(store_path)}
     else:
-        from repro.engine.providers import (
-            MmapProvider,
-            PrefixProvider,
-            StoreProvider,
-        )
-        from repro.storage.mmap_store import MmapStore
-
-        if isinstance(provider, PrefixProvider):
-            # Workers compute row blocks from window records; the wrapper's
-            # prefix tables are irrelevant to them, and unwrapping restores
-            # the wrapped backend's path handoff (mmap re-map / own SQLite
-            # connections) instead of the generic shared-memory ship.
-            provider = provider.base
-        n_series = provider.n_series
-        if isinstance(provider, MmapProvider):
-            spec = {"mode": "mmap", "path": provider.path}
-        elif isinstance(provider, StoreProvider):
-            # The handoff must match the store *kind*, not just the presence
-            # of a .path — both SQLite files and mmap directories expose one.
-            if isinstance(provider.store, MmapStore):
-                spec = {"mode": "mmap", "path": provider.store.path}
-            elif (
-                isinstance(provider.store, SqliteSketchStore)
-                and provider.store.path is not None
-            ):
-                spec = {"mode": "sqlite", "path": provider.store.path}
+        n_series = sketch.n_series
 
     partitions = partition_rows(n_series, n_workers)
     serial = n_workers == 1 or len(partitions) == 1
 
     shm_block: shared_memory.SharedMemory | None = None
     try:
+        task_indices = window_indices
         if spec is None and not serial:
-            # Shared-memory fan-out: one streaming pass into the segment.
-            means, stds, sizes = provider.window_stats(window_indices)
-            shm_block, covs_shape = _fill_shared_covs(
-                provider, window_indices, n_series
-            )
+            # Shared-memory fan-out: one chunked copy into the segment.
+            shm_block, covs_shape = _fill_shared_covs(sketch, window_indices)
             spec = {
                 "mode": "shm",
                 "shm_name": shm_block.name,
                 "covs_shape": covs_shape,
-                "means": np.ascontiguousarray(means),
-                "stds": np.ascontiguousarray(stds),
-                "sizes": np.asarray(sizes, dtype=np.float64),
+                "means": np.ascontiguousarray(sketch.means[:, window_indices]),
+                "stds": np.ascontiguousarray(sketch.stds[:, window_indices]),
+                "sizes": sketch.sizes[window_indices].astype(np.float64),
             }
             task_indices = np.arange(window_indices.size, dtype=np.int64)
 
         start = time.perf_counter()
         if serial:
-            if provider is not None:
-                # In-process, use the provider in hand (its open maps, LRU
-                # cache) rather than re-opening the store through the spec.
-                results = [
-                    _provider_partition(rows, task_indices, provider)
-                    for rows in partitions
-                ]
-            else:
-                results = [
-                    _run_query_partition(rows, task_indices, spec)
-                    for rows in partitions
-                ]
+            results = [
+                query_partition(rows, task_indices, sketch, store_path)
+                for rows in partitions
+            ]
         else:
             ctx = get_context("fork")
             tasks = [(rows, task_indices) for rows in partitions]
@@ -578,7 +478,6 @@ def parallel_query(
         if shm_block is not None:
             shm_block.close()
             shm_block.unlink()
-
     matrix = np.empty((n_series, n_series))
     worker_reads: list[float] = []
     for rows, block, read_time in results:

@@ -77,8 +77,9 @@ class MmapStore(SketchStore):
         path: Store directory; created (with parents) unless opened
             read-only.
         mode: ``"r+"`` (default) opens for reading and writing, creating the
-            directory if needed; ``"r"`` opens an existing store read-only —
-            the mode parallel query workers use to re-map a shared store.
+            directory if needed; ``"r"`` opens an existing store read-only
+            (what :class:`~repro.engine.providers.MmapProvider` does when
+            given a path).
 
     The number of series is fixed by the first metadata or window write and
     enforced thereafter. Window slots are committed sizes-last, so a record

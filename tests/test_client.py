@@ -10,12 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.client import (
-    AutoPolicy,
-    ParallelPolicy,
-    SerialPolicy,
-    TsubasaClient,
-)
+from repro.api.client import TsubasaClient
 from repro.api.spec import QuerySpec, WindowSpec
 from repro.approx.sketch import build_approx_sketch
 from repro.core.exact import query_correlation_matrix
@@ -208,51 +203,6 @@ class TestOperators:
             json.dumps(result.payload())  # must not raise
 
 
-class TestPolicies:
-    def test_parallel_policy_matches_serial(self, sketch, data):
-        serial = TsubasaClient(provider=InMemoryProvider(sketch))
-        parallel = TsubasaClient(
-            provider=InMemoryProvider(sketch), policy=ParallelPolicy(2)
-        )
-        spec = QuerySpec(op="matrix", window=ALIGNED)
-        reference = serial.execute(spec)
-        result = parallel.execute(spec)
-        assert result.provenance.execution == "parallel"
-        assert result.provenance.n_workers == 2
-        np.testing.assert_allclose(
-            result.value.values, reference.value.values, atol=1e-12
-        )
-
-    def test_parallel_policy_falls_back_serial_for_fragments(
-        self, sketch, data
-    ):
-        client = TsubasaClient(
-            provider=InMemoryProvider(sketch, data=data),
-            policy=ParallelPolicy(2),
-        )
-        result = client.execute(QuerySpec(op="matrix", window=ARBITRARY))
-        assert result.provenance.execution == "serial"
-
-    def test_auto_policy_stays_serial_when_small(self, sketch):
-        client = TsubasaClient(
-            provider=InMemoryProvider(sketch), policy=AutoPolicy(n_workers=2)
-        )
-        result = client.execute(QuerySpec(op="matrix", window=ALIGNED))
-        assert result.provenance.execution == "serial"
-
-    def test_auto_policy_goes_parallel_when_large(self, sketch):
-        client = TsubasaClient(
-            provider=InMemoryProvider(sketch),
-            policy=AutoPolicy(n_workers=2, min_cells=1),
-        )
-        result = client.execute(QuerySpec(op="matrix", window=ALIGNED))
-        assert result.provenance.execution == "parallel"
-
-    def test_serial_policy_is_default(self, sketch):
-        client = TsubasaClient(provider=InMemoryProvider(sketch))
-        assert isinstance(client._policy, SerialPolicy)
-
-
 class TestExecuteMany:
     def test_shares_matrix_computations(self, sketch, data, tmp_path):
         provider = make_provider("store", sketch, data, tmp_path)
@@ -361,26 +311,3 @@ class TestValidation:
         client = TsubasaClient(provider=InMemoryProvider(sketch), data=data)
         result = client.execute(QuerySpec(op="matrix", window=ARBITRARY))
         np.testing.assert_array_equal(result.value.values, reference(ARBITRARY))
-
-
-class TestPrefetch:
-    def test_prefetch_warms_store_cache(self, sketch, data, tmp_path):
-        provider = make_provider("store", sketch, data, tmp_path)
-        client = TsubasaClient(provider=provider)
-        selection = client.selection_for(ALIGNED)
-        fetched = client.prefetch(selection.full_windows)
-        assert fetched == 4
-        misses_before = provider.cache_misses
-        client.execute(QuerySpec(op="matrix", window=ALIGNED))
-        assert provider.cache_misses == misses_before  # fully cached
-
-    def test_prefetch_noop_for_memory_backend(self, sketch):
-        client = TsubasaClient(provider=InMemoryProvider(sketch))
-        assert client.prefetch([0, 1, 2]) == 0
-
-    def test_prefetch_skips_oversized_selections(self, sketch, data, tmp_path):
-        store = SqliteSketchStore(tmp_path / "tiny.db")
-        save_sketch(store, sketch)
-        provider = StoreProvider(store, cache_windows=2)
-        client = TsubasaClient(provider=provider)
-        assert client.prefetch(list(range(8))) == 0  # would churn the LRU

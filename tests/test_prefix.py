@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api.client import AutoPolicy, TsubasaClient
+from repro.api.client import TsubasaClient
 from repro.api.spec import QuerySpec, WindowSpec
 from repro.core.lemma1 import combine_matrix, combine_row
 from repro.core.prefix import (
@@ -199,7 +199,6 @@ class TestPrefixProvider:
         for label, provider in providers.items():
             result = TsubasaClient(provider=provider).execute(self.spec())
             assert result.provenance.path == "prefix", label
-            assert result.provenance.execution == "serial"
             np.testing.assert_allclose(
                 result.value.values,
                 reference.value.values,
@@ -260,18 +259,6 @@ class TestPrefixProvider:
         assert provider.n_windows == sketch.n_windows
         stats = provider.window_stats(np.arange(3))
         assert stats[0].shape == (sketch.n_series, 3)
-
-    def test_auto_policy_stays_serial_on_prefix_ranges(self, sketch):
-        policy = AutoPolicy(n_workers=4, min_cells=1)
-        client = TsubasaClient(
-            provider=PrefixProvider(InMemoryProvider(sketch)), policy=policy
-        )
-        result = client.execute(self.spec())
-        assert result.provenance.execution == "serial"
-        assert result.provenance.path == "prefix"
-        # Without prefix tables the same policy fans out.
-        plain = TsubasaClient(provider=InMemoryProvider(sketch), policy=policy)
-        assert plain.execute(self.spec()).provenance.execution == "parallel"
 
     def test_network_ops_ride_the_prefix_path(self, sketch, stores):
         _, mmap_path = stores

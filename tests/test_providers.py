@@ -17,7 +17,6 @@ from repro.engine.providers import (
     _LruRecordCache,
 )
 from repro.exceptions import DataError, SketchError, StorageError
-from repro.parallel.executor import parallel_query, parallel_sketch
 from repro.storage.memory import MemorySketchStore
 from repro.storage.mmap_store import MmapStore
 from repro.storage.serialize import load_sketch, save_sketch
@@ -48,16 +47,6 @@ def mmap_dir(small_sketch, tmp_path):
     with MmapStore(path) as store:
         save_sketch(store, small_sketch)
     return path
-
-
-def _forbid_materialize(provider):
-    """Make any materialize() call fail the test (fan-out must not do it)."""
-
-    def boom(indices=None):
-        raise AssertionError("provider.materialize() called before fan-out")
-
-    provider.materialize = boom
-    return provider
 
 
 class TestInMemoryProvider:
@@ -505,112 +494,6 @@ class TestChunkedBuildProvider:
             ChunkedBuildProvider(small_matrix, 50, chunk_rows=0)
         with pytest.raises(DataError):
             ChunkedBuildProvider(small_matrix, 50, names=["too", "few"])
-
-
-class TestProviderParallelQuery:
-    def test_store_provider_runs_disk_based(self, small_matrix, tmp_path):
-        path = tmp_path / "pq.db"
-        parallel_sketch(small_matrix, 50, n_workers=1, store_path=path)
-        with SqliteSketchStore(path) as store:
-            provider = _forbid_materialize(StoreProvider(store))
-            result = parallel_query(np.arange(12), n_workers=2, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-        assert result.read_seconds > 0.0
-
-    def test_in_memory_provider_fans_out_via_shared_memory(
-        self, small_sketch, small_matrix
-    ):
-        """No pre-fan-out materialize(): the selection's covariances travel
-        through one shared-memory block, never a pickled Sketch."""
-        provider = _forbid_materialize(InMemoryProvider(small_sketch))
-        result = parallel_query(np.arange(6, 12), n_workers=2, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix[:, 300:]), atol=1e-10
-        )
-        assert result.worker_read_seconds == [0.0] * result.n_partitions
-
-    def test_mmap_provider_fans_out_via_path(self, small_matrix, mmap_dir):
-        provider = _forbid_materialize(MmapProvider(mmap_dir))
-        result = parallel_query(np.arange(12), n_workers=3, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-        # Workers re-mmap and read in their own processes.
-        assert result.read_seconds > 0.0
-
-    def test_mmap_provider_serial(self, small_matrix, mmap_dir):
-        provider = _forbid_materialize(MmapProvider(mmap_dir))
-        result = parallel_query(np.arange(12), n_workers=1, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-        assert result.n_partitions == 1
-
-    def test_serial_store_provider_uses_open_provider(self, sqlite_store, small_matrix):
-        """n_workers=1 reads through the provider in hand (LRU and all)
-        instead of re-opening the store via the worker handoff."""
-        provider = StoreProvider(sqlite_store, cache_windows=None)
-        result = parallel_query(np.arange(12), n_workers=1, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-        assert provider.windows_read == 12  # the reads went through it
-        parallel_query(np.arange(12), n_workers=1, provider=provider)
-        assert provider.windows_read == 12  # second call served by its LRU
-
-    def test_chunked_build_provider_fans_out(self, small_matrix):
-        provider = _forbid_materialize(
-            ChunkedBuildProvider(small_matrix, 50, chunk_rows=8)
-        )
-        result = parallel_query(np.arange(12), n_workers=2, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-
-    def test_memory_backed_store_provider_fans_out(self, memory_store, small_matrix):
-        """A store with no filesystem path still fans out (shared memory)."""
-        provider = _forbid_materialize(StoreProvider(memory_store))
-        result = parallel_query(np.arange(12), n_workers=2, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-
-    def test_store_provider_over_mmap_store_fans_out(self, mmap_dir, small_matrix):
-        """A StoreProvider wrapping an MmapStore must get the mmap handoff,
-        not be mistaken for SQLite because its store exposes a .path."""
-        with MmapStore(mmap_dir) as store:
-            provider = _forbid_materialize(StoreProvider(store))
-            result = parallel_query(np.arange(12), n_workers=2, provider=provider)
-        np.testing.assert_allclose(
-            result.matrix, np.corrcoef(small_matrix), atol=1e-10
-        )
-
-    def test_parallel_matches_all_backends(
-        self, small_sketch, small_matrix, sqlite_store, mmap_dir
-    ):
-        window_indices = np.arange(4, 10)
-        expected = parallel_query(
-            window_indices, n_workers=2, provider=InMemoryProvider(small_sketch)
-        ).matrix
-        via_sqlite = parallel_query(
-            window_indices, n_workers=2, provider=StoreProvider(sqlite_store)
-        ).matrix
-        via_mmap = parallel_query(
-            window_indices, n_workers=2, provider=MmapProvider(mmap_dir)
-        ).matrix
-        np.testing.assert_allclose(via_sqlite, expected, atol=1e-12)
-        np.testing.assert_allclose(via_mmap, expected, atol=1e-12)
-
-    def test_rejects_provider_plus_sketch(self, small_sketch):
-        with pytest.raises(DataError):
-            parallel_query(
-                np.arange(12),
-                n_workers=1,
-                sketch=small_sketch,
-                provider=InMemoryProvider(small_sketch),
-            )
 
 
 class TestRealtimeFromProvider:

@@ -226,14 +226,12 @@ class TestSerialization:
 
 class TestProvenance:
     def test_to_dict_round_trips_fields(self):
-        provenance = Provenance(
-            backend="mmap", execution="parallel", n_workers=4, coalesced=True
-        )
+        provenance = Provenance(backend="mmap", path="prefix", coalesced=True)
         payload = provenance.to_dict()
         assert payload["backend"] == "mmap"
-        assert payload["execution"] == "parallel"
-        assert payload["n_workers"] == 4
+        assert payload["path"] == "prefix"
         assert payload["coalesced"] is True
+        assert Provenance(**payload) == provenance
 
 
 class TestNumpyIntegers:

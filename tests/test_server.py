@@ -25,7 +25,7 @@ import pytest
 from repro.api.client import TsubasaClient
 from repro.api.remote import TsubasaRemoteClient, _WsClientConnection
 from repro.api.server import serve_in_thread
-from repro.api.spec import QuerySpec, WindowSpec
+from repro.api.spec import Provenance, QuerySpec, WindowSpec
 from repro.core.realtime import TsubasaRealtime
 from repro.core.sketch import build_sketch
 from repro.engine.providers import (
@@ -208,6 +208,18 @@ class TestRemoteExecution:
         assert result.provenance is not None
         assert result.provenance.backend == "memory"
         assert result.timings["total"] > 0.0
+
+    def test_provenance_from_older_server_parses(self):
+        """Servers that still send execution/n_workers interoperate."""
+        payload = {
+            "backend": "mmap", "engine": "exact", "execution": "serial",
+            "path": "prefix", "n_workers": 1, "coalesced": True,
+            "cache": False, "cache_hits": 0, "cache_misses": 0,
+        }
+        provenance = TsubasaRemoteClient._provenance_from(payload)
+        assert provenance == Provenance(
+            backend="mmap", path="prefix", coalesced=True
+        )
 
     @pytest.mark.parametrize("backend", ["memory", "sqlite", "mmap"])
     def test_bit_identical_across_backends(
