@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.sketch import Sketch
+from repro.core.stats import block_stats
 from repro.exceptions import SketchError, StreamError
 
 __all__ = ["PairWindowSnapshot", "PairSlideResult", "lemma2_update_pair",
@@ -290,10 +291,7 @@ class SlidingCorrelationState:
             )
         if block.shape[1] == 0:
             raise StreamError("cannot slide with an empty block")
-        mean = block.mean(axis=1)
-        centered = block - mean[:, None]
-        cov = centered @ centered.T / block.shape[1]
-        self.slide(mean, block.std(axis=1), cov, block.shape[1])
+        self.slide(*block_stats(block), block.shape[1])
 
     def correlation_matrix(self) -> np.ndarray:
         """Exact all-pairs Pearson matrix of the current query window."""

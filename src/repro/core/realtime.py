@@ -15,6 +15,7 @@ edges, the "blinking links" of the climate literature) is exposed through
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,12 +24,35 @@ from repro.core.lemma2 import SlidingCorrelationState
 from repro.core.matrix import CorrelationMatrix
 from repro.core.network import ClimateNetwork
 from repro.core.sketch import Sketch, build_sketch
+from repro.core.stats import block_stats
 from repro.exceptions import DataError, StreamError
 
 if TYPE_CHECKING:
     from repro.engine.providers import SketchProvider
 
-__all__ = ["TsubasaRealtime"]
+__all__ = ["SketchedBatch", "TsubasaRealtime"]
+
+
+@dataclass(frozen=True)
+class SketchedBatch:
+    """An ingest batch, validated, with its completed basic windows sketched.
+
+    Made by :meth:`TsubasaRealtime.sketch_batch` without touching the
+    engine's state; :meth:`TsubasaRealtime.ingest` folds it in. The split
+    lets a durable wrapper persist exactly the statistics the engine will
+    slide with, before the engine changes.
+
+    Attributes:
+        windows: ``(means, stds, covs)`` of each basic window the batch
+            completes, oldest first (see :func:`~repro.core.stats.block_stats`).
+        remainder: Points left buffered after those windows.
+        base: The engine's ``(now, pending)`` when the batch was sketched;
+            folding it into any other state is refused.
+    """
+
+    windows: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    remainder: np.ndarray
+    base: tuple[int, int]
 
 
 class TsubasaRealtime:
@@ -152,16 +176,19 @@ class TsubasaRealtime:
         """Number of Lemma 2 slides performed since construction."""
         return self._windows_processed
 
-    def ingest(self, values: np.ndarray) -> int:
-        """Ingest a batch of new observations (Algorithm 3, lines 4–9).
+    def sketch_batch(self, values: np.ndarray) -> SketchedBatch:
+        """Validate a batch and sketch the basic windows it completes.
+
+        The engine's state is not changed; pass the result to
+        :meth:`ingest` to fold it in.
 
         Args:
             values: ``(n, k)`` batch of new synchronized points, ``k >= 0``.
                 A 1-D array of length ``n`` is accepted as a single tick.
 
-        Returns:
-            The number of basic windows completed (and Lemma 2 slides
-            performed) by this batch.
+        Raises:
+            StreamError: On a batch of the wrong shape.
+            DataError: On NaN or infinite values.
         """
         batch = np.asarray(values, dtype=np.float64)
         if batch.ndim == 1:
@@ -174,16 +201,45 @@ class TsubasaRealtime:
         if not np.all(np.isfinite(batch)):
             raise DataError("ingested batch contains NaN or infinite values")
 
-        self._buffer = np.concatenate([self._buffer, batch], axis=1)
-        slides = 0
-        while self._buffer.shape[1] >= self._window_size:
-            block = self._buffer[:, : self._window_size]
-            self._buffer = self._buffer[:, self._window_size :]
-            self._state.slide_raw(block)
+        pending = np.concatenate([self._buffer, batch], axis=1)
+        size = self._window_size
+        complete = pending.shape[1] // size
+        return SketchedBatch(
+            windows=tuple(
+                block_stats(pending[:, j * size : (j + 1) * size])
+                for j in range(complete)
+            ),
+            remainder=pending[:, complete * size :],
+            base=(self._timestamp, self.pending),
+        )
+
+    def ingest(self, values: "np.ndarray | SketchedBatch") -> int:
+        """Ingest a batch of new observations (Algorithm 3, lines 4–9).
+
+        Args:
+            values: ``(n, k)`` batch of new synchronized points, ``k >= 0``
+                (a 1-D array of length ``n`` is a single tick), or a batch
+                already sketched by :meth:`sketch_batch` against the
+                current state.
+
+        Returns:
+            The number of basic windows completed (and Lemma 2 slides
+            performed) by this batch.
+        """
+        if isinstance(values, SketchedBatch):
+            sketched = values
+            if sketched.base != (self._timestamp, self.pending):
+                raise StreamError(
+                    "batch was sketched against an earlier engine state"
+                )
+        else:
+            sketched = self.sketch_batch(values)
+        for mean, std, cov in sketched.windows:
+            self._state.slide(mean, std, cov, self._window_size)
             self._timestamp += self._window_size
             self._windows_processed += 1
-            slides += 1
-        return slides
+        self._buffer = sketched.remainder
+        return len(sketched.windows)
 
     def correlation_matrix(self) -> CorrelationMatrix:
         """Exact correlation matrix over the current query window."""

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.segmentation import BasicWindowPlan
 from repro.core.stats import (
+    block_stats,
     pairwise_window_covariances,
     series_window_stats,
 )
@@ -125,10 +126,7 @@ class Sketch:
             )
         if block.shape[1] == 0:
             raise DataError("cannot append an empty basic window")
-        mean = block.mean(axis=1)
-        std = block.std(axis=1)
-        centered = block - mean[:, None]
-        cov = centered @ centered.T / block.shape[1]
+        mean, std, cov = block_stats(block)
 
         self.means = np.concatenate([self.means, mean[:, None]], axis=1)
         self.stds = np.concatenate([self.stds, std[:, None]], axis=1)

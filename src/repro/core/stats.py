@@ -35,6 +35,7 @@ __all__ = [
     "PairWindowStats",
     "window_stats",
     "pair_window_stats",
+    "block_stats",
     "series_window_stats",
     "pairwise_window_covariances",
     "pairwise_window_correlations",
@@ -117,6 +118,23 @@ def window_stats(values: np.ndarray) -> WindowStats:
     """
     arr = _as_window(values)
     return WindowStats(mean=float(arr.mean()), std=float(arr.std()), size=arr.size)
+
+
+def block_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sketch one basic window of every series at once.
+
+    Args:
+        block: ``(n, B)`` float64 matrix of one basic window (validated by
+            the caller: non-empty and finite).
+
+    Returns:
+        ``(means, stds, covs)``: per-series means and population stds of
+        shape ``(n,)``, and the all-pair population covariance matrix of
+        shape ``(n, n)`` — one window's column of a sketch.
+    """
+    mean = block.mean(axis=1)
+    centered = block - mean[:, None]
+    return mean, block.std(axis=1), centered @ centered.T / block.shape[1]
 
 
 def pair_window_stats(x: np.ndarray, y: np.ndarray) -> PairWindowStats:

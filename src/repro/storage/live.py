@@ -132,38 +132,29 @@ class PersistentRealtime:
     def ingest(self, values: np.ndarray) -> int:
         """Ingest a batch; every completed window is persisted then slid.
 
+        The batch is validated and its windows sketched once, before
+        anything is written: a rejected batch (wrong shape, NaN or
+        infinite values) leaves both the store and the engine untouched,
+        and the engine slides with exactly the statistics persisted.
+
         Returns:
             Number of basic windows completed by this batch.
         """
-        batch = np.asarray(values, dtype=np.float64)
-        if batch.ndim == 1:
-            batch = batch[:, None]
-        # Reconstruct the raw blocks the engine will fold, so the persisted
-        # records match exactly what entered the sliding state.
-        pending = np.concatenate([self._pending_buffer(), batch], axis=1)
-        window_size = self._engine.window_size
-        n_complete = pending.shape[1] // window_size
-        records = []
-        for j in range(n_complete):
-            block = pending[:, j * window_size : (j + 1) * window_size]
-            mean = block.mean(axis=1)
-            centered = block - mean[:, None]
-            records.append(
+        sketched = self._engine.sketch_batch(values)
+        if sketched.windows:
+            window_size = self._engine.window_size
+            self._store.write_windows([
                 WindowRecord(
                     index=self._next_index + j,
                     means=mean,
-                    stds=block.std(axis=1),
-                    pairs=centered @ centered.T / window_size,
+                    stds=std,
+                    pairs=cov,
                     size=window_size,
                 )
-            )
-        if records:
-            self._store.write_windows(records)
-            self._next_index += len(records)
-        return self._engine.ingest(batch)
-
-    def _pending_buffer(self) -> np.ndarray:
-        return self._engine._buffer  # shared internal, same package
+                for j, (mean, std, cov) in enumerate(sketched.windows)
+            ])
+            self._next_index += len(sketched.windows)
+        return self._engine.ingest(sketched)
 
     def network(self, theta: float) -> "ClimateNetwork":
         """Current climate network (delegates to the engine)."""

@@ -86,18 +86,31 @@ class MmapStore(SketchStore):
     with ``sizes[j] == 0`` (the unwritten sentinel; real windows are never
     empty) is reported missing rather than returned half-written.
 
-    **Durability and concurrent readers.** Every commit (a ``write_windows``
-    batch or a metadata write) runs behind an fsync barrier: the touched
-    data pages are msync'ed and the JSON sidecar is replaced atomically
-    (write to a temp file, fsync, rename, fsync the directory). A
-    monotonically increasing *generation counter* in ``meta.json`` brackets
-    each batch seqlock-style: it is bumped to an **odd** value before the
-    first data byte is written and back to **even** once the batch (and its
-    sizes) are durable. A reader in another process detects a mid-write
-    store by sampling :meth:`read_generation` around its reads — an odd
-    sample means a write is in progress, and a changed sample means a
-    writer overlapped the read (either way the read may be torn and should
-    be retried)::
+    **Durability and concurrent readers.** Records are written with
+    ``pwrite`` and each array file is fsync'ed before the next one is
+    touched: ``means``, ``stds`` and ``pairs`` first, ``sizes.i64`` last.
+    ``sizes.i64`` therefore defines the store's capacity; the data files may
+    run *ahead* of it after an interrupted append (their trailing bytes are
+    never mapped, and :meth:`trim` reclaims them), but never behind it. The
+    JSON sidecar is replaced atomically (write to a temp file, fsync,
+    rename, fsync the directory) and carries a monotonically increasing
+    *generation counter* that publishes each commit:
+
+    * A batch that **overwrites** a committed record is bracketed
+      seqlock-style: the generation is bumped to an **odd** value before the
+      first data byte is written and back to **even** once the batch (and
+      its sizes) are durable.
+    * A **pure append** (every slot in the batch uncommitted: ``sizes == 0``
+      or past capacity) touches no committed byte, so it skips the odd
+      opening and publishes the next even generation in one sidecar write
+      once its records are durable. A reader asking for one of its slots
+      mid-append gets "missing" straight away, not a wait.
+
+    A reader in another process detects a concurrent commit by sampling
+    :meth:`read_generation` around its reads — an odd sample means an
+    overwrite is in progress, and a changed sample means a writer committed
+    during the read (either way the read may be torn and should be
+    retried)::
 
         g0 = store.read_generation()
         records = store.read_windows(indices)
@@ -124,7 +137,6 @@ class MmapStore(SketchStore):
         self._prefix_rows = 0
         self._collection: StoreMetadata | None = None
         self._read_maps: dict[str, np.ndarray] | None = None
-        self._write_maps: dict[str, np.ndarray] | None = None
         has_meta = self._meta_path.is_file()
         if mode == "r":
             if not has_meta:
@@ -193,7 +205,9 @@ class MmapStore(SketchStore):
         tmp_path = self._meta_path.with_suffix(".json.tmp")
         fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         try:
-            os.write(fd, (json.dumps(payload, indent=2) + "\n").encode())
+            # Compact on purpose: with ``indent`` json falls back to its
+            # pure-Python encoder, a measurable share of an append.
+            os.write(fd, (json.dumps(payload) + "\n").encode())
             os.fsync(fd)
         finally:
             os.close(fd)
@@ -279,11 +293,14 @@ class MmapStore(SketchStore):
         self._save_meta()
 
     def _finish_commit(self) -> None:
-        """Close the seqlock: advance the generation to the next even value.
+        """Publish a commit: advance the generation to the next even value.
 
-        Called after the batch's data and sizes pages are msync'ed; the
-        sidecar replace (itself fsync'ed) publishes the new generation, so
-        an even ``generation`` only ever advances past fully durable data.
+        Called after the batch's data and sizes are fsync'ed; the sidecar
+        replace (itself fsync'ed) publishes the new generation, so an even
+        ``generation`` only ever advances past fully durable data. It closes
+        an overwrite's odd bracket, and is the whole publication of a pure
+        append (even to even, or clearing an odd value an interrupted
+        overwrite left at rest, as any completed record batch does).
         """
         self._generation += 2 - (self._generation % 2)
         self._save_meta()
@@ -365,13 +382,15 @@ class MmapStore(SketchStore):
     def _dtype(self, name: str) -> str:
         return "<i8" if name == "sizes" else "<f8"
 
-    def _drop_maps(self) -> None:
-        # Deleting the memmap objects flushes dirty pages and releases the
-        # mappings, so the files can be re-truncated and re-mapped.
-        self._read_maps = None
-        self._write_maps = None
+    def _open_maps(self) -> dict[str, np.ndarray]:
+        """Map the first ``capacity`` records of every array file read-only.
 
-    def _open_maps(self, mode: str) -> dict[str, np.ndarray]:
+        ``sizes.i64`` defines the capacity. A data file may be *longer* than
+        that — an append interrupted after its data fsync but before its
+        sizes write leaves the data running ahead — and only its
+        ``capacity`` prefix is mapped. A data file *shorter* than capacity
+        cannot come from any commit order and is rejected as corrupt.
+        """
         capacity = self._capacity()
         if capacity == 0 or self._n is None:
             raise StorageError(f"mmap store {self._dir} holds no window records")
@@ -383,53 +402,41 @@ class MmapStore(SketchStore):
                 size = file_path.stat().st_size
             except OSError:
                 size = -1
-            if size != expected:
+            if size < expected:
                 raise StorageError(
                     f"mmap store array {file_path} is missing or has the "
-                    f"wrong size (expected {expected} bytes)"
+                    f"wrong size (expected at least {expected} bytes)"
                 )
-            if mode == "r":
-                # Raw mmap + frombuffer instead of np.memmap: ~5x cheaper to
-                # construct, which is most of a cold query's latency budget.
-                # The arrays are read-only views over the mapping (the mmap
-                # object stays alive through .base).
-                fd = os.open(file_path, os.O_RDONLY)
-                try:
-                    buf = mmap.mmap(fd, expected, access=mmap.ACCESS_READ)
-                finally:
-                    os.close(fd)
-                maps[name] = np.frombuffer(buf, dtype=self._dtype(name)).reshape(
-                    shapes[name]
-                )
-            else:
-                maps[name] = np.memmap(
-                    file_path, dtype=self._dtype(name), mode=mode,
-                    shape=shapes[name],
-                )
+            # Raw mmap + frombuffer instead of np.memmap: ~5x cheaper to
+            # construct, which is most of a cold query's latency budget.
+            # The arrays are read-only views over the mapping (the mmap
+            # object stays alive through .base).
+            fd = os.open(file_path, os.O_RDONLY)
+            try:
+                buf = mmap.mmap(fd, expected, access=mmap.ACCESS_READ)
+            finally:
+                os.close(fd)
+            maps[name] = np.frombuffer(buf, dtype=self._dtype(name)).reshape(
+                shapes[name]
+            )
         return maps
 
     def _stale(self, maps: dict[str, np.ndarray] | None) -> bool:
         """Whether cached maps no longer cover the files' current capacity.
 
-        Another handle (or process) growing the store ftruncates the array
-        files; mappings made before that only cover the old length, so
-        indexing a newly appended record through them would fail even
-        though the fresh capacity check passed. Re-stat and remap instead
-        — outstanding record views stay valid, they keep the old mapping
+        An append from another handle (or process) extends ``sizes.i64``;
+        mappings made before that only cover the old capacity, so indexing
+        a newly appended record through them would fail even though the
+        fresh capacity check passed. Re-stat and remap instead —
+        outstanding record views stay valid, they keep the old mapping
         alive through their ``.base``.
         """
         return maps is not None and maps["sizes"].shape[0] != self._capacity()
 
-    def _writable(self) -> dict[str, np.ndarray]:
-        if self._write_maps is None or self._stale(self._write_maps):
-            self._write_maps = None
-            self._write_maps = self._open_maps("r+")
-        return self._write_maps
-
     def _readable(self) -> dict[str, np.ndarray]:
         if self._read_maps is None or self._stale(self._read_maps):
             self._read_maps = None
-            self._read_maps = self._open_maps("r")
+            self._read_maps = self._open_maps()
         return self._read_maps
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -635,14 +642,15 @@ class MmapStore(SketchStore):
     def trim(self) -> int:
         """Compact the store: drop trailing unwritten (or stale) capacity.
 
-        Stores written out of order over-allocate: ``_ensure_capacity``
-        grows the array files to the *highest* index ever written, so a
-        batch landing at a large index leaves every file sized for slots
-        that may never be filled (and, after such a batch, oversized
-        ``prefix_*`` tables). ``trim`` truncates all of them back to the
-        last committed record, running behind the same fsync/generation
-        barrier as any record batch, so concurrent readers observe either
-        the old capacity or the new one — never a half-truncated store.
+        Array files can hold more than the committed records: an append
+        interrupted before its sizes write leaves the data files running
+        ahead of ``sizes.i64``, stores written by earlier versions of this
+        module grew every file ahead of the records, and ``prefix_*`` tables
+        are sized for the capacity they were built at. ``trim`` truncates
+        all of them back to the last committed record, running behind the
+        same fsync/generation barrier as an overwriting record batch, so
+        concurrent readers observe either the old capacity or the new one —
+        never a half-truncated store.
 
         Interior holes (unwritten slots *below* the last committed record)
         are preserved: window indices are semantic, and renumbering them
@@ -685,7 +693,7 @@ class MmapStore(SketchStore):
         if committed == capacity and not oversized:
             return 0
         self._begin_commit()
-        self._drop_maps()
+        self._read_maps = None
         shapes = dict(self._shapes(committed))
         if has_prefix_files:
             # Prefix tables are sized capacity+1 rows; committed rows (a
@@ -708,25 +716,6 @@ class MmapStore(SketchStore):
         self._fsync_dir()
         self._finish_commit()
         return before - self.size_bytes()
-
-    def _ensure_capacity(self, needed: int) -> None:
-        capacity = self._capacity()
-        if needed <= capacity:
-            return
-        self._drop_maps()
-        shapes = self._shapes(needed)
-        for name, file_path in self._files.items():
-            # Extending with truncate leaves the new (unwritten) slots as
-            # zero pages — exactly the sizes sentinel for "missing". The
-            # fsync makes the new length durable before any record data is
-            # written into the extension.
-            fd = os.open(file_path, os.O_RDWR | os.O_CREAT, 0o644)
-            try:
-                os.ftruncate(fd, 8 * int(np.prod(shapes[name])))
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-        self._fsync_dir()
 
     # -- SketchStore contract ------------------------------------------------
 
@@ -776,44 +765,79 @@ class MmapStore(SketchStore):
                     f"window record {record.index} has non-positive size "
                     f"{record.size}"
                 )
-        lo = min(record.index for record in records)
-        hi = max(record.index for record in records) + 1
-        # Prefix rows past lo+1 aggregate records this batch is rewriting;
-        # truncating them inside the opening commit keeps readers from ever
-        # combining stale cumulative sums with the new records (regression:
-        # append/overwrite after prefix materialization). Pure appends land
-        # at lo >= old count, so committed rows (<= count + 1) survive and
-        # build_prefix() later extends from the last committed row.
-        self._begin_commit(prefix_rows_cap=lo + 1)
-        self._ensure_capacity(hi)
-        maps = self._writable()
-        for record in records:
-            j = record.index
-            maps["means"][j] = record.means
-            maps["stds"][j] = record.stds
-            maps["pairs"][j] = np.asarray(record.pairs, dtype=np.float64)
-        # Commit sizes last, behind an msync barrier: the data pages reach
-        # the file before any nonzero size does, so a crash — process or
-        # system — leaves a half-written record with sizes[j] == 0, which
-        # readers treat as missing rather than serving partial data.
+        # Later records win on duplicate indices, as sequential writes would.
+        batch = sorted({record.index: record for record in records}.items())
+        lo = batch[0][0]
+        capacity = self._capacity()
+        inside = [j for j, _ in batch if j < capacity]
+        overwrite = bool(inside) and bool(
+            np.any(self._readable()["sizes"][inside])
+        )
+        if overwrite:
+            # Committed bytes are about to change under concurrent readers:
+            # open the seqlock. Prefix rows past lo+1 aggregate records this
+            # batch is rewriting; truncating them inside the opening commit
+            # keeps readers from ever combining stale cumulative sums with
+            # the new records. A pure append needs neither: committed prefix
+            # rows never cover an unwritten slot.
+            self._begin_commit(prefix_rows_cap=lo + 1)
+        else:
+            self._sync_meta()
+        # Sizes last, behind the data files' fsyncs: a crash — process or
+        # system — leaves a half-written record with sizes[j] == 0 (or past
+        # capacity), which readers treat as missing rather than serving
+        # partial data.
+        created = False
         for name in ("means", "stds", "pairs"):
-            self._flush_records(maps[name], lo, hi)
-        for record in records:
-            maps["sizes"][record.index] = record.size
-        self._flush_records(maps["sizes"], lo, hi)
-        # Publish the commit: bump the generation back to even behind its
-        # own fsync barrier so concurrent readers can detect both the
-        # in-progress window (odd) and the completed change (advanced).
+            created |= self._write_rows(
+                name, [(j, getattr(record, name)) for j, record in batch]
+            )
+        if created:
+            self._fsync_dir()  # new data files outlive a crash before sizes
+        self._write_rows("sizes", [(j, record.size) for j, record in batch])
         self._finish_commit()
+
+    def _write_rows(self, name: str, rows: list[tuple[int, object]]) -> bool:
+        """Write ``(index, row)`` records into one array file, then fsync it.
+
+        ``pwrite`` past the end extends the file itself (skipped slots read
+        back as zeros, the sizes sentinel for "missing"), so an append needs
+        no truncate and no remap.
+
+        Returns:
+            Whether the file had to be created.
+        """
+        file_path = self._files[name]
+        created = False
+        try:
+            fd = os.open(file_path, os.O_WRONLY)
+        except FileNotFoundError:
+            fd = os.open(file_path, os.O_WRONLY | os.O_CREAT, 0o644)
+            created = True
+        try:
+            dtype = self._dtype(name)
+            for index, row in rows:
+                data = memoryview(
+                    np.ascontiguousarray(row, dtype=dtype).reshape(-1)
+                ).cast("B")
+                offset = index * data.nbytes
+                while data:
+                    written = os.pwrite(fd, data, offset)
+                    data = data[written:]
+                    offset += written
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        return created
 
     @staticmethod
     def _flush_records(mem: np.ndarray, lo: int, hi: int) -> None:
-        """msync only the pages covering records ``[lo, hi)``.
+        """msync only the pages covering prefix-table rows ``[lo, hi)``.
 
-        ``np.memmap.flush()`` syncs the whole mapping, which turns batched
-        ingestion into quadratic writeback (every batch re-syncs the full
-        file). Flushing the touched byte range keeps each batch's cost
-        proportional to the batch.
+        ``np.memmap.flush()`` syncs the whole mapping, which turns an
+        incremental :meth:`build_prefix` into quadratic writeback (every
+        extension re-syncs the full table). Flushing the touched byte range
+        keeps each extension's cost proportional to its new rows.
         """
         raw = getattr(mem, "_mmap", None)
         if raw is None:  # not a memmap-backed array; nothing to sync
@@ -891,8 +915,10 @@ class MmapStore(SketchStore):
                     for record in self.read_windows(indices)
                 ]
             except StorageError:
-                # The store may be mid-grow (files being swapped); only
-                # trust the error once a quiet generation confirms it.
+                # A commit (say a trim) may have changed the files under
+                # this read; only trust the error once a quiet generation
+                # confirms it. A slot a pure append has not published yet
+                # is missing at once: the generation does not move.
                 if self.read_generation() == before:
                     raise
                 _time.sleep(backoff)
@@ -920,4 +946,4 @@ class MmapStore(SketchStore):
         return total
 
     def close(self) -> None:
-        self._drop_maps()
+        self._read_maps = None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.realtime import TsubasaRealtime
-from repro.exceptions import StreamError
+from repro.exceptions import DataError, StreamError
 from repro.storage.live import PersistentRealtime
 from repro.storage.memory import MemorySketchStore
 from repro.storage.serialize import load_sketch
@@ -61,6 +61,35 @@ class TestBootstrapAndIngest:
             live.correlation_matrix().values, ref, atol=1e-9
         )
         assert live.network(0.5).n_nodes == 8
+
+
+class TestRejectedBatches:
+    def test_nan_batch_persists_nothing(self, stream_data, tmp_path):
+        """A batch the engine rejects must not reach the store first."""
+        from repro.core.sketch import build_sketch
+        from repro.storage.mmap_store import MmapStore
+
+        with MmapStore(tmp_path / "live.mm") as store:
+            live = PersistentRealtime.bootstrap(stream_data[:, :300], 50,
+                                                store)
+            poisoned = stream_data[:, 300:350].copy()
+            poisoned[2, 7] = np.nan
+            with pytest.raises(DataError):
+                live.ingest(poisoned)
+            with pytest.raises(StreamError):
+                live.ingest(stream_data[:4, 300:350])  # wrong series count
+            assert live.windows_persisted == 6
+            assert live.engine.pending == 0
+            live.ingest(stream_data[:, 300:350])
+            assert live.windows_persisted == 7
+            stored = load_sketch(store)
+        offline = build_sketch(stream_data[:, :350], 50)
+        np.testing.assert_allclose(stored.means, offline.means, atol=1e-12)
+        np.testing.assert_allclose(stored.covs, offline.covs, atol=1e-12)
+        np.testing.assert_allclose(
+            live.correlation_matrix().values,
+            np.corrcoef(stream_data[:, 50:350]), atol=1e-9,
+        )
 
 
 class TestResume:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +27,18 @@ def _record(index, n=4, size=10, seed=0):
         pairs=pairs,
         size=size,
     )
+
+
+def _grow_capacity(store_dir, capacity):
+    """Extend every array file to ``capacity`` zero-filled (unwritten) slots.
+
+    This is the trailing capacity that earlier versions of the store left
+    behind when a batch grew the files and then never committed.
+    """
+    slots = (store_dir / "sizes.i64").stat().st_size // 8
+    for name in ("means.f64", "stds.f64", "pairs.f64", "sizes.i64"):
+        path = store_dir / name
+        os.truncate(path, path.stat().st_size // slots * capacity)
 
 
 class TestLayout:
@@ -266,16 +279,16 @@ class TestGenerationCounter:
         quiescent = reader.read_generation()
         assert quiescent % 2 == 0
         observed = []
-        original = MmapStore._flush_records
+        original = MmapStore._write_rows
 
         class SpyStore(MmapStore):
-            def _flush_records(self, mem, lo, hi):  # mid-write observation
+            def _write_rows(self, name, rows):  # mid-write observation
                 observed.append(reader.read_generation())
-                original(mem, lo, hi)
+                return original(self, name, rows)
 
         spy = SpyStore(tmp_path / "st")
         spy.write_windows([_record(0, seed=99)])  # overwrite record 0
-        assert observed  # flushed at least once mid-write
+        assert observed  # synced at least once mid-write
         assert all(g == quiescent + 1 for g in observed)  # odd: in progress
         assert all(g % 2 == 1 for g in observed)
         assert reader.read_generation() == quiescent + 2  # committed, even
@@ -326,7 +339,7 @@ class TestGenerationCounter:
         assert quiescent % 2 == 0
 
         class FailingStore(MmapStore):
-            def _ensure_capacity(self, needed):  # simulate ENOSPC
+            def _write_rows(self, name, rows):  # simulate ENOSPC
                 raise StorageError("disk full")
 
         broken = FailingStore(tmp_path / "st")
@@ -338,12 +351,12 @@ class TestGenerationCounter:
 
         reader = MmapStore(tmp_path / "st", mode="r")
         observed = []
-        original = MmapStore._flush_records
+        original = MmapStore._write_rows
 
         class SpyStore(MmapStore):
-            def _flush_records(self, mem, lo, hi):
+            def _write_rows(self, name, rows):
                 observed.append(reader.read_generation())
-                original(mem, lo, hi)
+                return original(self, name, rows)
 
         SpyStore(tmp_path / "st").write_windows([_record(0, seed=2)])
         assert observed and all(g % 2 == 1 for g in observed)  # still odd mid-write
@@ -355,11 +368,13 @@ class TestGenerationCounter:
             store.write_windows([_record(0)])
 
         class FailingStore(MmapStore):
-            def _ensure_capacity(self, needed):
+            def _write_rows(self, name, rows):
                 raise StorageError("disk full")
 
+        # Only an overwrite opens the odd bracket; a failed pure append
+        # publishes nothing and leaves no flag to preserve.
         with pytest.raises(StorageError):
-            FailingStore(tmp_path / "st").write_windows([_record(1)])
+            FailingStore(tmp_path / "st").write_windows([_record(0, seed=1)])
         store = MmapStore(tmp_path / "st")
         assert store.generation % 2 == 1
         store.write_metadata(StoreMetadata(names=tuple("abcd"), window_size=10))
@@ -419,6 +434,95 @@ class TestGenerationCounter:
         assert reader.window_count() == 5
 
 
+class TestAppendCommit:
+    """Pure appends: pwrite + one fsync per file, no odd seqlock opening."""
+
+    def test_one_window_append_is_six_fsyncs_and_no_memmap(
+        self, tmp_path, monkeypatch
+    ):
+        with MmapStore(tmp_path / "st") as store:
+            store.write_windows([_record(i) for i in range(3)])
+            fsyncs = []
+            real_fsync = os.fsync
+
+            def counting_fsync(fd):
+                fsyncs.append(fd)
+                real_fsync(fd)
+
+            def no_memmap(*args, **kwargs):
+                raise AssertionError("append constructed an np.memmap")
+
+            monkeypatch.setattr(os, "fsync", counting_fsync)
+            monkeypatch.setattr(np, "memmap", no_memmap)
+            store.write_windows([_record(3)])
+            monkeypatch.undo()
+            # means, stds, pairs, sizes + the sidecar's temp file and dir.
+            assert len(fsyncs) <= 6
+            assert store.read_windows([3])[0].size == 10
+
+    def test_reader_never_sees_odd_generation_during_append(self, tmp_path):
+        writer = MmapStore(tmp_path / "st")
+        writer.write_windows([_record(i) for i in range(3)])
+        reader = MmapStore(tmp_path / "st", mode="r")
+        quiescent = reader.read_generation()
+        observed = []
+        missing = []
+        original = MmapStore._write_rows
+
+        class SpyStore(MmapStore):
+            def _write_rows(self, name, rows):
+                observed.append(reader.read_generation())
+                try:
+                    reader.read_windows([3])
+                except StorageError:
+                    missing.append(name)
+                return original(self, name, rows)
+
+        SpyStore(tmp_path / "st").write_windows([_record(3)])
+        assert len(observed) == 4  # one per array file
+        assert all(g == quiescent for g in observed)  # never odd
+        # Mid-append the new slot reads as missing, straight away.
+        assert missing == ["means", "stds", "pairs", "sizes"]
+        assert reader.read_generation() == quiescent + 2
+        assert reader.read_windows([3])[0].size == 10
+
+    def test_interrupted_append_reopens_and_trims(self, tmp_path):
+        from repro.engine.providers import MmapProvider
+
+        sketch = build_sketch(np.random.default_rng(5).normal(size=(4, 300)),
+                              50)
+        with MmapStore(tmp_path / "st") as store:
+            save_sketch(store, sketch)
+        original = MmapStore._write_rows
+
+        class CrashBeforeSizes(MmapStore):
+            def _write_rows(self, name, rows):
+                if name == "sizes":
+                    raise StorageError("crashed before the sizes write")
+                return original(self, name, rows)
+
+        with pytest.raises(StorageError, match="crashed"):
+            CrashBeforeSizes(tmp_path / "st").write_windows([_record(6)])
+        pairs = tmp_path / "st" / "pairs.f64"
+        assert pairs.stat().st_size == 7 * 4 * 4 * 8  # data ran ahead
+        assert (tmp_path / "st" / "sizes.i64").stat().st_size == 6 * 8
+        provider = MmapProvider(tmp_path / "st")
+        assert provider.n_windows == 6
+        np.testing.assert_array_equal(provider.covs(np.arange(6)), sketch.covs)
+        means, stds, sizes = provider.window_stats(np.arange(6))
+        np.testing.assert_array_equal(means, sketch.means)
+        np.testing.assert_array_equal(stds, sketch.stds)
+        np.testing.assert_array_equal(sizes, sketch.sizes)
+        with MmapStore(tmp_path / "st") as store:
+            assert store.read_generation() % 2 == 0  # nothing was published
+            assert store.trim() == 4 * 8 * 2 + 4 * 4 * 8
+            assert pairs.stat().st_size == 6 * 4 * 4 * 8
+            store.write_windows([_record(6)])  # the retry lands in place
+            np.testing.assert_array_equal(
+                store.read_windows([6])[0].pairs, _record(6).pairs
+            )
+
+
 class TestTrim:
     """Compaction of trailing capacity left by out-of-order writes."""
 
@@ -438,7 +542,7 @@ class TestTrim:
             store.write_windows([_record(i, n=5) for i in range(4)])
             # An out-of-order batch grew capacity, then never committed
             # (crash simulation: capacity exists, sizes stay zero).
-            store._ensure_capacity(32)
+            _grow_capacity(tmp_path / "st", 32)
             oversized = store.size_bytes()
             reclaimed = store.trim()
             assert reclaimed > 0
@@ -453,7 +557,7 @@ class TestTrim:
     def test_interior_holes_are_preserved(self, tmp_path):
         with MmapStore(tmp_path / "st") as store:
             store.write_windows([_record(i, n=4) for i in (0, 1, 5)])
-            store._ensure_capacity(20)
+            _grow_capacity(tmp_path / "st", 20)
             store.trim()
             # Capacity shrank to the last committed record...
             assert (tmp_path / "st" / "sizes.i64").stat().st_size == 6 * 8
@@ -468,7 +572,7 @@ class TestTrim:
             save_sketch(store, sketch)
             covered = store.build_prefix()
             assert covered == sketch.n_windows
-            store._ensure_capacity(sketch.n_windows + 16)
+            _grow_capacity(tmp_path / "st", sketch.n_windows + 16)
             assert store.trim() > 0
             assert store.prefix_rows == sketch.n_windows + 1
             aggregates = store.read_prefix()
@@ -492,7 +596,7 @@ class TestTrim:
         """trim runs behind the generation barrier like any commit."""
         with MmapStore(tmp_path / "st") as store:
             store.write_windows([_record(i, n=4) for i in range(3)])
-            store._ensure_capacity(10)
+            _grow_capacity(tmp_path / "st", 10)
         reader = MmapStore(tmp_path / "st", mode="r")
         g0 = reader.read_generation()
         with MmapStore(tmp_path / "st") as writer:

@@ -90,6 +90,27 @@ class TestIngest:
         with pytest.raises(DataError):
             engine.ingest(batch)
 
+    def test_sketched_batch_folds_like_raw_ingest(self, stream_data):
+        raw = TsubasaRealtime(stream_data[:, :300], window_size=50)
+        split = TsubasaRealtime(stream_data[:, :300], window_size=50)
+        split.ingest(stream_data[:, 300:330])
+        raw.ingest(stream_data[:, 300:330])
+        sketched = split.sketch_batch(stream_data[:, 330:460])
+        assert len(sketched.windows) == 3
+        assert (split.now, split.pending) == (300, 30)  # nothing folded yet
+        assert split.ingest(sketched) == raw.ingest(stream_data[:, 330:460])
+        assert (split.now, split.pending) == (raw.now, raw.pending)
+        np.testing.assert_array_equal(
+            split.correlation_matrix().values, raw.correlation_matrix().values
+        )
+
+    def test_stale_sketched_batch_rejected(self, stream_data):
+        engine = TsubasaRealtime(stream_data[:, :300], window_size=50)
+        sketched = engine.sketch_batch(stream_data[:, 300:350])
+        engine.ingest(stream_data[:, 300:310])
+        with pytest.raises(StreamError, match="earlier engine state"):
+            engine.ingest(sketched)
+
 
 class TestNetworkUpdates:
     def test_network_matches_matrix(self, stream_data):
