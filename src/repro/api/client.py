@@ -6,8 +6,10 @@ requests against any :class:`~repro.engine.providers.SketchProvider` backend
 optionally, the DFT-based approximate sketch. It is a *planner*: every
 operation reduces to one or two correlation matrices plus cheap
 post-processing, and each matrix is computed serially in-process through the
-provider — from its prefix-aggregate tables when the selection is a
-contiguous aligned range, by streaming Lemma 1 otherwise.
+provider — from its prefix-aggregate tables when the selection's full
+windows form one contiguous run (any raw head/tail fragments of a
+non-aligned window are sketched and folded into the range moments), by
+streaming Lemma 1 otherwise.
 
 The engine classes (:class:`~repro.core.exact.TsubasaHistorical`,
 :class:`~repro.approx.network.TsubasaApproximate`) delegate their query
@@ -52,8 +54,9 @@ class MatrixExecution:
         matrix: The labeled correlation matrix.
         backend: Provider backend name (or ``"approx"``).
         seconds: Wall time of the computation.
-        path: ``"prefix"`` (prefix-aggregate combination) or ``"direct"``
-            (streaming Lemma 1 over the selected windows).
+        path: ``"prefix"`` (prefix-aggregate combination, fragments folded
+            in) or ``"direct"`` (streaming Lemma 1 over the selected
+            windows).
         from_cache: Whether this execution was replayed from the service's
             result cache rather than computed.
         cache_hits: Provider cache hits during the computation.
@@ -187,15 +190,17 @@ class TsubasaClient:
         selection = self._plan.align(window.resolve(self._plan))
         hits0 = getattr(provider, "cache_hits", 0)
         misses0 = getattr(provider, "cache_misses", 0)
-        # Contiguous aligned ranges go through the backend's prefix tables
-        # when it has them: O(n^2) per query, independent of the number of
-        # selected windows. Everything else streams the direct Lemma 1
-        # reduction.
-        path = "direct"
+        # Contiguous ranges go through the backend's prefix tables when it
+        # has them: O(n^2) per query, independent of the number of selected
+        # windows. An aligned range is two table rows; a fragmented one
+        # goes through query_correlation_matrix, which sketches the raw
+        # head/tail first (refusing data-less backends before any read) and
+        # folds them into the range. Everything else streams the direct
+        # Lemma 1 reduction.
         bounds = provider.prefix_range(selection)
-        if bounds is not None:
+        path = "direct" if bounds is None else "prefix"
+        if bounds is not None and selection.is_aligned:
             values = provider.prefix_matrix(*bounds)
-            path = "prefix"
         else:
             values = query_correlation_matrix(
                 provider,

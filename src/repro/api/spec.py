@@ -372,8 +372,8 @@ class Provenance:
         engine: ``"exact"`` or ``"approx"``.
         path: Combination strategy: ``"prefix"`` when the matrix came from
             prefix-aggregate tables (:mod:`repro.core.prefix`, O(n^2) per
-            query), ``"direct"`` for the streaming Lemma 1 reduction over
-            the selected windows.
+            query, with any raw head/tail fragments folded in), ``"direct"``
+            for the streaming Lemma 1 reduction over the selected windows.
         coalesced: Whether this request shared an in-flight matrix
             computation instead of running its own (service layer).
         cache: Whether the matrix was served from the service's bounded

@@ -6,15 +6,22 @@ answered by:
 
 1. aligning the query against the basic-window plan
    (:meth:`BasicWindowPlan.align`),
-2. streaming the sketch statistics of the fully covered basic windows from
-   the provider (chunked, so a disk-backed query never materializes the full
-   ``(ns, n, n)`` covariance tensor),
-3. sketching the (possibly empty) partial head/tail fragments from raw data
+2. sketching the (possibly empty) partial head/tail fragments from raw data
    on the fly — these are just two extra variable-size "basic windows" as far
-   as Lemma 1 is concerned, and
-4. combining everything with the vectorized Lemma 1 kernel
-   (:func:`~repro.core.lemma1.combine_matrix_chunked`) into the complete,
-   exact correlation matrix, from which any threshold yields the network.
+   as Lemma 1 is concerned, and they are sketched first so a backend without
+   raw data refuses the query before reading anything,
+3. reading the fully covered basic windows: from the provider's
+   prefix-aggregate tables when it has them and the windows form one
+   contiguous run (two table rows, :mod:`repro.core.prefix`), otherwise by
+   streaming their sketch statistics from the provider (chunked, so a
+   disk-backed query never materializes the full ``(ns, n, n)`` covariance
+   tensor), and
+4. combining everything into the complete, exact correlation matrix — the
+   fragments folded into the prefix range moments
+   (:func:`~repro.core.prefix.combine_matrix_prefix`), or streamed through
+   the vectorized Lemma 1 kernel
+   (:func:`~repro.core.lemma1.combine_matrix_chunked`) with the windows —
+   from which any threshold yields the network.
 
 :class:`TsubasaHistorical` is the user-facing engine bundling plan, provider,
 and (optionally) raw data. Raw data may be withheld (``keep_raw=False``, or a
@@ -125,7 +132,13 @@ def query_correlation_matrix(
     data: np.ndarray | None = None,
     chunk_windows: int = DEFAULT_CHUNK_WINDOWS,
 ) -> np.ndarray:
-    """Exact all-pairs correlation for an aligned window selection.
+    """Exact all-pairs correlation for any window selection.
+
+    Selections the provider can serve from prefix-aggregate tables
+    (:meth:`~repro.engine.providers.SketchProvider.prefix_range`) are
+    answered in ``O(n^2)`` with the fragments folded into the range
+    moments, within :data:`~repro.core.prefix.PREFIX_ATOL` of the direct
+    path; everything else streams the direct Lemma 1 reduction.
 
     Args:
         source: A sketch provider, or a plain :class:`Sketch` (wrapped in an
@@ -152,6 +165,10 @@ def query_correlation_matrix(
             fragments.append(fragment_stats(data, *fragment))
         else:
             fragments.append(provider.fragment(*fragment))
+
+    bounds = provider.prefix_range(selection)
+    if bounds is not None:
+        return provider.prefix_matrix(*bounds, fragments=fragments)
 
     def chunks() -> Iterator[
         tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]

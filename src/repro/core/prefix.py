@@ -21,7 +21,10 @@ grand-mean-free aggregates:
 
 Precompute the cumulative tables once at sketch-build time and any contiguous
 range ``[lo, hi)`` is answered by two row lookups and a subtraction —
-``O(n^2)`` work independent of the number of selected windows.
+``O(n^2)`` work independent of the number of selected windows. An arbitrary
+query window adds at most two raw head/tail fragments (§3.1.1); each is one
+more variable-size window to Lemma 1, so its statistics are centered on the
+same offsets and added to the range moments before normalization.
 
 Numerical accuracy contract
 ---------------------------
@@ -356,8 +359,47 @@ def _pooled_scales(
     return np.sqrt(pooled)
 
 
+def _fold_fragments(
+    offsets: np.ndarray,
+    total: float,
+    s1: np.ndarray,
+    s2: np.ndarray,
+    cross: np.ndarray,
+    fragments,
+) -> float:
+    """Fold raw head/tail fragments into centered range moments, in place.
+
+    Each fragment is one more variable-size "window" to Lemma 1, centered
+    on the tables' offsets exactly as :meth:`PrefixAggregates.extend`
+    centers a table window. ``s1``, ``s2`` and ``cross`` must be fresh
+    arrays (range differences), since they are updated in place.
+
+    Returns:
+        The range's total size including the fragments.
+    """
+    n = offsets.shape[0]
+    for mean, std, cov, size in fragments:
+        mean = np.asarray(mean, dtype=np.float64)
+        std = np.asarray(std, dtype=np.float64)
+        cov = np.asarray(cov, dtype=np.float64)
+        if mean.shape != (n,) or std.shape != (n,) or cov.shape != (n, n):
+            raise SketchError(
+                f"fragment shapes {mean.shape}/{std.shape}/{cov.shape} "
+                f"incompatible with {n} series"
+            )
+        weight = float(size)
+        if weight <= 0.0:
+            raise SketchError(f"fragment size must be positive, got {size}")
+        centered = mean - offsets
+        total += weight
+        s1 += weight * centered
+        s2 += weight * (std**2 + centered**2)
+        cross += weight * (cov + np.outer(centered, centered))
+    return total
+
+
 def combine_matrix_prefix(
-    aggregates: PrefixAggregates, lo: int, hi: int
+    aggregates: PrefixAggregates, lo: int, hi: int, fragments=()
 ) -> np.ndarray:
     """Exact all-pairs correlation over windows ``[lo, hi)`` in ``O(n^2)``.
 
@@ -365,21 +407,35 @@ def combine_matrix_prefix(
     within :data:`PREFIX_ATOL` (see the module docstring's accuracy
     contract), at a cost independent of ``hi - lo``.
 
+    An arbitrary (non-aligned) query window is its covered basic windows
+    plus at most two raw head/tail fragments (§3.1.1). ``fragments`` folds
+    those into the range moments, so such a window costs ``O(n^2)`` per
+    fragment on top of the two table rows. With no fragments the
+    arithmetic is exactly the aligned-range computation.
+
     Args:
         aggregates: Prefix tables covering at least window ``hi - 1``.
         lo: First selected basic window (inclusive).
         hi: Last selected basic window (exclusive).
+        fragments: ``(mean, std, cov, size)`` statistics of raw fragments
+            (as :func:`~repro.core.exact.fragment_stats` returns them),
+            shapes ``(n,)``, ``(n,)``, ``(n, n)`` and a positive size.
 
     Returns:
         The ``(n, n)`` Pearson correlation matrix, unit diagonal; rows and
         columns of (effectively) constant series are zero off-diagonal.
     """
     total, s1, s2 = aggregates.moments(lo, hi)
+    cross = aggregates.cross[hi] - aggregates.cross[lo]
+    if fragments:
+        total = _fold_fragments(
+            aggregates.offsets, total, s1, s2, cross, fragments
+        )
     mu = s1 / total
     scale = _pooled_scales(total, mu, s2, aggregates.second[hi])
-    numer = (
-        aggregates.cross[hi] - aggregates.cross[lo] - total * np.outer(mu, mu)
-    )
+    # In place: ``cross`` is a fresh difference, so no second (n, n) array.
+    numer = cross
+    numer -= total * np.outer(mu, mu)
     denom = np.outer(scale, scale)
     corr = np.zeros_like(denom)
     np.divide(numer, denom, out=corr, where=denom > 0.0)

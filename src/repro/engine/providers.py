@@ -30,16 +30,16 @@ Three providers are shipped:
   per-record deserialization and no copies for contiguous window ranges
   (the common aligned-query case). Cold queries skip the database entirely
   and read straight through the OS page cache. Stores carrying persisted
-  ``prefix_*`` tables additionally answer contiguous ranges from two mapped
-  prefix rows (:meth:`SketchProvider.prefix_matrix`), independent of the
-  range length.
-* :class:`PrefixProvider` — a wrapper over *any* of the above: contiguous
-  aligned selections are answered in ``O(n^2)`` from prefix-aggregate
-  tables (:mod:`repro.core.prefix`) — built lazily from one streaming pass
-  over the wrapped backend, or adopted zero-copy from an
-  :class:`~repro.storage.mmap_store.MmapStore`'s persisted tables — while
-  fragmented or non-contiguous selections delegate to the wrapped provider
-  unchanged.
+  ``prefix_*`` tables additionally answer contiguous ranges — with or
+  without raw head/tail fragments — from two mapped prefix rows
+  (:meth:`SketchProvider.prefix_matrix`), independent of the range length.
+* :class:`PrefixProvider` — a wrapper over *any* of the above: selections
+  whose full windows form one contiguous run are answered in ``O(n^2)``
+  from prefix-aggregate tables (:mod:`repro.core.prefix`) — built lazily
+  from one streaming pass over the wrapped backend, or adopted zero-copy
+  from an :class:`~repro.storage.mmap_store.MmapStore`'s persisted tables —
+  with any head/tail fragments folded in, while non-contiguous selections
+  delegate to the wrapped provider unchanged.
 """
 
 from __future__ import annotations
@@ -232,21 +232,27 @@ class SketchProvider(abc.ABC):
 
         Backends holding prefix-aggregate tables (:mod:`repro.core.prefix`)
         override this to return the half-open basic-window bounds ``(lo,
-        hi)`` of an aligned, contiguous, non-empty selection they can serve
-        in ``O(n^2)`` via :meth:`prefix_matrix`; ``None`` (the default, and
-        for every fragmented/non-contiguous selection) routes the query
-        down the direct streaming path.
+        hi)`` of a selection whose full windows form one contiguous,
+        non-empty run they can serve in ``O(n^2)`` via
+        :meth:`prefix_matrix`. The selection may carry raw head/tail
+        fragments: those are sketched separately and folded into the range
+        moments. ``None`` (the default, and for non-contiguous selections,
+        selections with no full window, or ranges past the tables) routes
+        the query down the direct streaming path.
 
         Args:
             selection: A :class:`~repro.core.segmentation.WindowSelection`.
         """
         return None
 
-    def prefix_matrix(self, lo: int, hi: int) -> np.ndarray:
+    def prefix_matrix(self, lo: int, hi: int, fragments=()) -> np.ndarray:
         """All-pairs correlation over windows ``[lo, hi)`` from prefix tables.
 
-        Only meaningful for bounds previously returned by
-        :meth:`prefix_range`; backends without prefix tables raise.
+        ``fragments`` holds the ``(mean, std, cov, size)`` statistics of
+        the selection's raw head/tail fragments, folded into the range
+        (:func:`~repro.core.prefix.combine_matrix_prefix`). Only meaningful
+        for bounds previously returned by :meth:`prefix_range`; backends
+        without prefix tables raise.
         """
         raise SketchError(
             f"the {self.backend_name!r} backend holds no prefix-aggregate "
@@ -361,25 +367,43 @@ class InMemoryProvider(SketchProvider):
     def has_raw_data(self) -> bool:
         return self._data is not None
 
+    # Contiguous selections (every aligned query) are served as read-only
+    # views of the sketch's arrays, like MmapProvider's mapped slices;
+    # only genuinely scattered selections pay a fancy-indexing copy.
+
     def window_stats(self, indices):
         idx = self._check_indices(indices)
+        sketch = self._sketch
+        sel = _contiguous_slice(idx)
+        if sel is None:
+            return (
+                sketch.means[:, idx],
+                sketch.stds[:, idx],
+                sketch.sizes[idx].astype(np.float64),
+            )
         return (
-            self._sketch.means[:, idx],
-            self._sketch.stds[:, idx],
-            self._sketch.sizes[idx].astype(np.float64),
+            _read_only(sketch.means[:, sel]),
+            _read_only(sketch.stds[:, sel]),
+            sketch.sizes[sel].astype(np.float64),
         )
+
+    def covs(self, indices):
+        idx = self._check_indices(indices)
+        sel = _contiguous_slice(idx)
+        if sel is None:
+            return self._sketch.covs[idx]
+        return _read_only(self._sketch.covs[sel])
 
     def iter_cov_chunks(self, indices, chunk_windows):
         idx = self._check_indices(indices)
         if chunk_windows <= 0:
             raise SketchError("chunk_windows must be positive")
         for start in range(0, idx.size, chunk_windows):
-            yield self._sketch.covs[idx[start : start + chunk_windows]]
+            yield self.covs(idx[start : start + chunk_windows])
 
     def cov_rows(self, indices, rows):
-        idx = self._check_indices(indices)
         rows = np.asarray(rows, dtype=np.int64)
-        return self._sketch.covs[idx][:, rows, :]
+        return self.covs(indices)[:, rows, :]
 
     def fragment(self, start, stop):
         if self._data is None:
@@ -606,6 +630,12 @@ class StoreProvider(SketchProvider):
         return _raw_fragment(self._data, start, stop)
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """Mark a view of provider-owned arrays read-only (callers get no copy)."""
+    view.flags.writeable = False
+    return view
+
+
 def _contiguous_slice(indices: np.ndarray) -> slice | None:
     """The ``slice`` equivalent of ``indices`` if they are an ascending run.
 
@@ -625,13 +655,12 @@ def _contiguous_slice(indices: np.ndarray) -> slice | None:
 
 
 def _prefix_bounds(selection) -> tuple[int, int] | None:
-    """Half-open window bounds of an aligned contiguous selection, else None.
+    """Half-open bounds of a selection's full windows if contiguous, else None.
 
-    The shape every prefix-aggregate path requires: no raw head/tail
-    fragments, at least one basic window, and an ascending run of indices.
+    The shape every prefix-aggregate path requires: at least one basic
+    window, and an ascending run of indices. Raw head/tail fragments do not
+    matter here; the matrix path folds them into the range moments.
     """
-    if not selection.is_aligned:
-        return None
     indices = np.asarray(selection.full_windows, dtype=np.int64)
     run = _contiguous_slice(indices)
     if run is None or run.stop <= run.start:
@@ -650,9 +679,9 @@ class MmapProvider(SketchProvider):
 
     Stores whose directory carries persisted ``prefix_*`` tables (written by
     :meth:`~repro.storage.mmap_store.MmapStore.build_prefix`) additionally
-    serve contiguous aligned selections straight from two mapped prefix rows
-    — ``O(n^2)`` per query regardless of how many windows the range spans,
-    and still zero-copy.
+    serve contiguous selections straight from two mapped prefix rows, plus
+    any raw head/tail fragments folded in — ``O(n^2)`` per query regardless
+    of how many windows the range spans, and still zero-copy.
 
     Args:
         source: An open :class:`~repro.storage.mmap_store.MmapStore`, or a
@@ -758,12 +787,12 @@ class MmapProvider(SketchProvider):
             return None
         return bounds
 
-    def prefix_matrix(self, lo, hi):
+    def prefix_matrix(self, lo, hi, fragments=()):
         if self._prefix is None:
-            return super().prefix_matrix(lo, hi)
+            return super().prefix_matrix(lo, hi, fragments)
         from repro.core.prefix import combine_matrix_prefix
 
-        return combine_matrix_prefix(self._prefix, lo, hi)
+        return combine_matrix_prefix(self._prefix, lo, hi, fragments)
 
     def prefix_row(self, lo, hi, row):
         if self._prefix is None:
@@ -974,14 +1003,15 @@ class ChunkedBuildProvider(SketchProvider):
 class PrefixProvider(SketchProvider):
     """Prefix-aggregate acceleration over any :class:`SketchProvider`.
 
-    Contiguous aligned window selections — every aligned query, and the only
-    shape the direct path pays ``O(ns * n^2)`` for — are answered in
-    ``O(n^2)`` from cumulative Lemma 1 aggregates
-    (:mod:`repro.core.prefix`): two table rows and a subtraction, regardless
-    of how many windows the range spans. Everything else (fragmented
-    windows, genuinely non-contiguous selections, row blocks, raw
-    fragments) delegates to the wrapped provider unchanged, so the wrapper
-    is a drop-in backend for every engine.
+    Selections whose full windows form one contiguous run — every query
+    window, aligned or not, and the shape the direct path pays
+    ``O(ns * n^2)`` for — are answered in ``O(n^2)`` from cumulative
+    Lemma 1 aggregates (:mod:`repro.core.prefix`): two table rows and a
+    subtraction, regardless of how many windows the range spans, with the
+    raw head/tail fragments (sketched by the wrapped provider) folded in.
+    Everything else (genuinely non-contiguous selections, row blocks)
+    delegates to the wrapped provider unchanged, so the wrapper is a
+    drop-in backend for every engine.
 
     The tables come from one of two places:
 
@@ -1139,7 +1169,7 @@ class PrefixProvider(SketchProvider):
             return None
         return bounds
 
-    def prefix_matrix(self, lo, hi):
+    def prefix_matrix(self, lo, hi, fragments=()):
         from repro.core.prefix import combine_matrix_prefix
 
         if not 0 <= lo < hi <= self.n_windows:
@@ -1147,7 +1177,7 @@ class PrefixProvider(SketchProvider):
                 f"prefix range [{lo}, {hi}) outside the sketched windows "
                 f"[0, {self.n_windows})"
             )
-        return combine_matrix_prefix(self._ensure(hi), lo, hi)
+        return combine_matrix_prefix(self._ensure(hi), lo, hi, fragments)
 
     def prefix_row(self, lo, hi, row):
         from repro.core.prefix import combine_row_prefix

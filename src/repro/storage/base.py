@@ -84,6 +84,14 @@ class SketchStore(abc.ABC):
         """Number of window records currently stored."""
 
     @abc.abstractmethod
+    def next_index(self) -> int:
+        """One past the highest stored window index (0 when empty).
+
+        Differs from :meth:`window_count` on a store with holes: appending
+        at ``window_count()`` would overwrite a record past the first hole.
+        """
+
+    @abc.abstractmethod
     def size_bytes(self) -> int:
         """Current storage footprint in bytes (Fig. 6d's measure)."""
 

@@ -43,7 +43,12 @@ class PersistentRealtime:
         self._next_index = self._bootstrap()
 
     def _bootstrap(self) -> int:
-        """Ensure store metadata exists and matches; return the next index."""
+        """Ensure store metadata exists and matches; return the next index.
+
+        The next index is one past the highest committed window, not the
+        record count: on a store with holes the count points below a
+        committed record, and appending there would overwrite it.
+        """
         from repro.exceptions import StorageError
 
         try:
@@ -66,7 +71,7 @@ class PersistentRealtime:
                     f"store window size {metadata.window_size} != engine's "
                     f"{self._engine.window_size}"
                 )
-        return self._store.window_count()
+        return self._store.next_index()
 
     @property
     def engine(self) -> TsubasaRealtime:

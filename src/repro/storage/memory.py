@@ -40,6 +40,9 @@ class MemorySketchStore(SketchStore):
     def window_count(self) -> int:
         return len(self._records)
 
+    def next_index(self) -> int:
+        return max(self._records, default=-1) + 1
+
     def size_bytes(self) -> int:
         total = 0
         for record in self._records.values():

@@ -936,6 +936,12 @@ class MmapStore(SketchStore):
             return 0
         return int(np.count_nonzero(self._readable()["sizes"]))
 
+    def next_index(self) -> int:
+        if self._capacity() == 0 or self._n is None:
+            return 0
+        committed = np.flatnonzero(self._readable()["sizes"])
+        return int(committed[-1]) + 1 if committed.size else 0
+
     def size_bytes(self) -> int:
         total = 0
         for file_path in (

@@ -184,6 +184,10 @@ class SqliteSketchStore(SketchStore):
     def window_count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(*) FROM windows").fetchone()[0])
 
+    def next_index(self) -> int:
+        top = self._conn.execute("SELECT MAX(idx) FROM windows").fetchone()[0]
+        return 0 if top is None else int(top) + 1
+
     def size_bytes(self) -> int:
         if self._path == ":memory:":
             page_count = self._conn.execute("PRAGMA page_count").fetchone()[0]

@@ -63,6 +63,62 @@ class TestBootstrapAndIngest:
         assert live.network(0.5).n_nodes == 8
 
 
+def _store_of_kind(kind, tmp_path):
+    if kind == "memory":
+        return MemorySketchStore()
+    if kind == "sqlite":
+        return SqliteSketchStore(tmp_path / "live.db")
+    from repro.storage.mmap_store import MmapStore
+
+    return MmapStore(tmp_path / "live.mm")
+
+
+class TestNextIndex:
+    @pytest.mark.parametrize("kind", ["memory", "sqlite", "mmap"])
+    def test_empty_store_starts_at_zero(self, kind, tmp_path):
+        assert _store_of_kind(kind, tmp_path).next_index() == 0
+
+    @pytest.mark.parametrize("kind", ["memory", "sqlite", "mmap"])
+    def test_ingest_after_holes_never_overwrites(
+        self, kind, stream_data, tmp_path
+    ):
+        from repro.core.sketch import build_sketch
+        from repro.storage.base import StoreMetadata, WindowRecord
+
+        store = _store_of_kind(kind, tmp_path)
+        seed = build_sketch(stream_data[:, :300], 50)
+        store.write_metadata(
+            StoreMetadata(names=tuple(seed.names), window_size=50)
+        )
+
+        def record(j, index):
+            return WindowRecord(
+                index=index, means=seed.means[:, j].copy(),
+                stds=seed.stds[:, j].copy(), pairs=seed.covs[j].copy(),
+                size=int(seed.sizes[j]),
+            )
+
+        # Records 0, 1 and 5: two committed, a hole, then one more.
+        store.write_windows([record(0, 0), record(1, 1), record(5, 5)])
+        assert store.window_count() == 3
+        kept = store.read_windows([5])[0]
+        kept_means, kept_pairs = kept.means.copy(), kept.pairs.copy()
+
+        engine = TsubasaRealtime(stream_data[:, :300], 50, names=seed.names)
+        live = PersistentRealtime(engine, store)
+        live.ingest(stream_data[:, 300:450])  # three windows
+        again = store.read_windows([5])[0]
+        np.testing.assert_array_equal(again.means, kept_means)
+        np.testing.assert_array_equal(again.pairs, kept_pairs)
+        offline = build_sketch(stream_data[:, 300:450], 50)
+        for j, index in enumerate((6, 7, 8)):
+            np.testing.assert_allclose(
+                store.read_windows([index])[0].means, offline.means[:, j],
+                atol=1e-12,
+            )
+        assert store.next_index() == 9
+
+
 class TestRejectedBatches:
     def test_nan_batch_persists_nothing(self, stream_data, tmp_path):
         """A batch the engine rejects must not reach the store first."""

@@ -7,14 +7,17 @@ import pytest
 
 from repro.api.client import TsubasaClient
 from repro.api.spec import QuerySpec, WindowSpec
+from repro.core.exact import fragment_stats, query_correlation_matrix
 from repro.core.lemma1 import combine_matrix, combine_row
 from repro.core.prefix import (
     PREFIX_ATOL,
     PrefixAggregates,
+    _pooled_scales,
     build_prefix_aggregates,
     combine_matrix_prefix,
     combine_row_prefix,
 )
+from repro.core.segmentation import QueryWindow, WindowSelection
 from repro.core.sketch import build_sketch
 from repro.engine.providers import (
     InMemoryProvider,
@@ -52,7 +55,103 @@ def direct_matrix(sketch, lo, hi):
     )
 
 
+def aligned_range_formula(aggregates, lo, hi):
+    """Reference: the aligned-range arithmetic, with no fragment fold.
+
+    ``combine_matrix_prefix`` without fragments must match it bit for bit.
+    """
+    total, s1, s2 = aggregates.moments(lo, hi)
+    mu = s1 / total
+    scale = _pooled_scales(total, mu, s2, aggregates.second[hi])
+    numer = (
+        aggregates.cross[hi] - aggregates.cross[lo] - total * np.outer(mu, mu)
+    )
+    denom = np.outer(scale, scale)
+    corr = np.zeros_like(denom)
+    np.divide(numer, denom, out=corr, where=denom > 0.0)
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+def append_records(sketch_like, indices):
+    return [
+        WindowRecord(
+            index=j,
+            means=sketch_like.means[:, j].copy(),
+            stds=sketch_like.stds[:, j].copy(),
+            pairs=sketch_like.covs[j].copy(),
+            size=int(sketch_like.sizes[j]),
+        )
+        for j in indices
+    ]
+
+
+def fragments_of(data, selection):
+    return [
+        fragment_stats(data, *fragment)
+        for fragment in (selection.head, selection.tail)
+        if fragment is not None
+    ]
+
+
 class TestKernel:
+    def test_aligned_ranges_bit_equal_to_unfragmented_formula(self, sketch):
+        aggregates = build_prefix_aggregates(
+            sketch.means, sketch.stds, sketch.covs, sketch.sizes
+        )
+        for lo, hi in [(0, 60), (0, 1), (59, 60), (10, 42), (3, 7)]:
+            expected = aligned_range_formula(aggregates, lo, hi)
+            np.testing.assert_array_equal(
+                combine_matrix_prefix(aggregates, lo, hi), expected
+            )
+            np.testing.assert_array_equal(
+                combine_matrix_prefix(aggregates, lo, hi, fragments=()),
+                expected,
+            )
+
+    def test_fragments_fold_matches_direct_path(self, sketch, data):
+        aggregates = build_prefix_aggregates(
+            sketch.means, sketch.stds, sketch.covs, sketch.sizes
+        )
+        direct = InMemoryProvider(sketch, data=data)
+        for end, length in [(899, 500), (450, 101), (30, 17), (898, 890)]:
+            selection = InMemoryProvider(sketch).plan.align(
+                QueryWindow(end=end, length=length)
+            )
+            assert not selection.is_aligned
+            idx = selection.full_windows
+            folded = combine_matrix_prefix(
+                aggregates, int(idx[0]), int(idx[-1]) + 1,
+                fragments=fragments_of(data, selection),
+            )
+            np.testing.assert_allclose(
+                folded,
+                query_correlation_matrix(direct, selection),
+                rtol=0.0,
+                atol=PREFIX_ATOL,
+            )
+            np.testing.assert_allclose(
+                folded,
+                np.corrcoef(data[:, end - length + 1 : end + 1]),
+                rtol=0.0,
+                atol=1e-9,
+            )
+
+    def test_fragment_validation(self, sketch, data):
+        aggregates = build_prefix_aggregates(
+            sketch.means, sketch.stds, sketch.covs, sketch.sizes
+        )
+        mean, std, cov, size = fragment_stats(data, 0, 5)
+        with pytest.raises(SketchError, match="incompatible"):
+            combine_matrix_prefix(
+                aggregates, 1, 3, fragments=[(mean[:3], std, cov, size)]
+            )
+        with pytest.raises(SketchError, match="positive"):
+            combine_matrix_prefix(
+                aggregates, 1, 3, fragments=[(mean, std, cov, 0)]
+            )
+
     def test_matches_direct_kernel_over_ranges(self, sketch):
         aggregates = build_prefix_aggregates(
             sketch.means, sketch.stds, sketch.covs, sketch.sizes
@@ -221,23 +320,38 @@ class TestPrefixProvider:
         provider.prefix_matrix(0, 60)
         assert provider.aggregates.covered == 60
 
-    def test_fragmented_and_noncontiguous_selections_delegate(
-        self, sketch, data
-    ):
-        provider = PrefixProvider(InMemoryProvider(sketch, data=data))
-        client = TsubasaClient(provider=provider)
-        fragmented = client.execute(
-            QuerySpec(op="matrix", window=WindowSpec(end=899, length=500))
-        )
-        assert fragmented.provenance.path == "direct"
-        engine_values = TsubasaClient(
+    def test_fragmented_selection_rides_prefix_path(self, sketch, data):
+        spec = QuerySpec(op="matrix", window=WindowSpec(end=899, length=500))
+        fragmented = TsubasaClient(
+            provider=PrefixProvider(InMemoryProvider(sketch, data=data))
+        ).execute(spec)
+        assert fragmented.provenance.path == "prefix"
+        reference = TsubasaClient(
             provider=InMemoryProvider(sketch, data=data)
-        ).execute(
-            QuerySpec(op="matrix", window=WindowSpec(end=899, length=500))
+        ).execute(spec)
+        assert reference.provenance.path == "direct"
+        np.testing.assert_allclose(
+            fragmented.value.values,
+            reference.value.values,
+            rtol=0.0,
+            atol=PREFIX_ATOL,
         )
-        np.testing.assert_array_equal(
-            fragmented.value.values, engine_values.value.values
-        )
+
+    def test_noncontiguous_selection_delegates(self, sketch, data):
+        provider = PrefixProvider(InMemoryProvider(sketch, data=data))
+        plain = InMemoryProvider(sketch, data=data)
+        for head in (None, (0, 7)):
+            selection = WindowSelection(
+                full_windows=np.array([2, 3, 7, 9], dtype=np.int64),
+                head=head,
+                tail=None,
+            )
+            assert provider.prefix_range(selection) is None
+            np.testing.assert_array_equal(
+                query_correlation_matrix(provider, selection),
+                query_correlation_matrix(plain, selection),
+            )
+        assert provider.aggregates is None  # nothing built for them
 
     def test_persisted_tables_adopted_zero_copy(self, stores):
         _, mmap_path = stores
@@ -272,6 +386,115 @@ class TestPrefixProvider:
         result = client.execute(spec)
         assert result.provenance.path == "prefix"
         assert result.value.edge_set() == serial.execute(spec).value.edge_set()
+
+
+class TestFragmentRouting:
+    """Which path a non-aligned window takes, and what it must still refuse."""
+
+    FRAGMENTED = WindowSpec(end=887, length=601)  # head and tail fragments
+
+    @pytest.fixture()
+    def mmap_path(self, sketch, tmp_path):
+        path = tmp_path / "r.mm"
+        with MmapStore(path) as store:
+            save_sketch(store, sketch)
+            store.build_prefix()
+        return path
+
+    def run(self, provider, window=FRAGMENTED, data=None):
+        client = TsubasaClient(provider=provider, data=data)
+        return client.execute(QuerySpec(op="matrix", window=window))
+
+    def reference(self, sketch, data, window=FRAGMENTED):
+        return self.run(InMemoryProvider(sketch, data=data), window)
+
+    def test_fragmented_contiguous_rides_prefix(
+        self, sketch, data, mmap_path, tmp_path
+    ):
+        sqlite_path = tmp_path / "r.db"
+        with SqliteSketchStore(sqlite_path) as store:
+            save_sketch(store, sketch)
+        reference = self.reference(sketch, data).value.values
+        providers = {
+            "mmap": MmapProvider(mmap_path, data=data),
+            "mmap-wrapped": PrefixProvider(
+                MmapProvider(mmap_path, data=data, prefix=False)
+            ),
+            "store": PrefixProvider(
+                StoreProvider(SqliteSketchStore(sqlite_path), data=data)
+            ),
+        }
+        for label, provider in providers.items():
+            result = self.run(provider)
+            assert result.provenance.path == "prefix", label
+            np.testing.assert_allclose(
+                result.value.values, reference, rtol=0.0, atol=PREFIX_ATOL,
+                err_msg=label,
+            )
+        # Raw data handed to the client serves a data-less provider too.
+        result = self.run(MmapProvider(mmap_path), data=data)
+        assert result.provenance.path == "prefix"
+        np.testing.assert_allclose(
+            result.value.values, reference, rtol=0.0, atol=PREFIX_ATOL
+        )
+
+    def test_no_full_window_goes_direct(self, sketch, data, mmap_path):
+        window = WindowSpec(end=40, length=12)  # inside windows 1 and 2
+        result = self.run(MmapProvider(mmap_path, data=data), window)
+        assert result.provenance.path == "direct"
+        np.testing.assert_array_equal(
+            result.value.values,
+            self.reference(sketch, data, window).value.values,
+        )
+
+    def test_no_tables_goes_direct(self, sketch, data, mmap_path):
+        result = self.run(MmapProvider(mmap_path, data=data, prefix=False))
+        assert result.provenance.path == "direct"
+        np.testing.assert_array_equal(
+            result.value.values, self.reference(sketch, data).value.values
+        )
+
+    def test_trailing_tables_go_direct_past_their_rows(self, data, tmp_path):
+        grown_data = np.concatenate(
+            [data, np.random.default_rng(9).standard_normal((9, 90))], axis=1
+        )
+        grown = build_sketch(grown_data, 15)  # 66 windows
+        path = tmp_path / "t.mm"
+        with MmapStore(path) as store:
+            save_sketch(store, build_sketch(data, 15))
+            store.build_prefix()
+            store.write_windows(
+                append_records(grown, range(60, 66))
+            )
+        provider = MmapProvider(path, data=grown_data)
+        assert provider.persisted_prefix().covered == 60
+        inside = WindowSpec(end=887, length=601)  # full windows 20..58
+        past = WindowSpec(end=977, length=601)  # full windows 26..64
+        for window, path_taken in ((inside, "prefix"), (past, "direct")):
+            result = self.run(provider, window)
+            assert result.provenance.path == path_taken
+            np.testing.assert_allclose(
+                result.value.values,
+                self.reference(grown, grown_data, window).value.values,
+                rtol=0.0,
+                atol=PREFIX_ATOL,
+            )
+
+    def test_data_less_prefix_provider_raises_before_any_read(
+        self, sketch, mmap_path, tmp_path
+    ):
+        sqlite_path = tmp_path / "r.db"
+        with SqliteSketchStore(sqlite_path) as store:
+            save_sketch(store, sketch)
+        base = StoreProvider(SqliteSketchStore(sqlite_path))
+        wrapped = PrefixProvider(base)
+        reads = base.windows_read  # construction reads the last record
+        with pytest.raises(SketchError, match="not aligned"):
+            self.run(wrapped)
+        assert base.windows_read == reads
+        assert wrapped.aggregates is None  # no table build either
+        with pytest.raises(SketchError, match="not aligned"):
+            self.run(MmapProvider(mmap_path))
 
 
 class TestMmapPersistence:
@@ -318,18 +541,6 @@ class TestMmapPersistence:
         )
         assert client.execute(spec).provenance.path == "direct"
 
-    def append_records(self, sketch_like, indices):
-        return [
-            WindowRecord(
-                index=j,
-                means=sketch_like.means[:, j].copy(),
-                stds=sketch_like.stds[:, j].copy(),
-                pairs=sketch_like.covs[j].copy(),
-                size=int(sketch_like.sizes[j]),
-            )
-            for j in indices
-        ]
-
     def test_append_after_prefix_extends_incrementally(self, data, tmp_path):
         grown = build_sketch(
             np.concatenate(
@@ -342,7 +553,7 @@ class TestMmapPersistence:
             save_sketch(store, build_sketch(data, 15))
             store.build_prefix()
             rows_before = store.prefix_rows
-            store.write_windows(self.append_records(grown, range(60, 66)))
+            store.write_windows(append_records(grown, range(60, 66)))
             # A pure append leaves the committed rows valid (they cover the
             # old windows only) …
             assert store.prefix_rows == rows_before
@@ -369,7 +580,7 @@ class TestMmapPersistence:
             save_sketch(store, sketch)
             store.build_prefix()
             generation = store.read_generation()
-            store.write_windows(self.append_records(modified, [20]))
+            store.write_windows(append_records(modified, [20]))
             assert store.read_generation() > generation
             assert store.prefix_rows == 21  # rows past the rewrite are stale
             # Ranges ending beyond the truncation are no longer servable …

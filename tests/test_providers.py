@@ -80,6 +80,47 @@ class TestInMemoryProvider:
         with pytest.raises(DataError):
             InMemoryProvider(small_sketch, data=rng.normal(size=(20, 599)))
 
+    def test_contiguous_ranges_are_read_only_views(self, small_sketch):
+        provider = InMemoryProvider(small_sketch)
+        idx = np.arange(3, 9)
+        means, stds, _ = provider.window_stats(idx)
+        covs = provider.covs(idx)
+        chunks = list(provider.iter_cov_chunks(idx, chunk_windows=4))
+        for view, owner in (
+            (means, small_sketch.means), (stds, small_sketch.stds),
+            (covs, small_sketch.covs), *((c, small_sketch.covs) for c in chunks),
+        ):
+            assert np.shares_memory(view, owner)
+            assert not view.flags.writeable
+        scattered = provider.covs(np.array([1, 4, 5]))
+        assert not np.shares_memory(scattered, small_sketch.covs)
+        assert scattered.flags.writeable
+
+    def test_view_answers_equal_copied_answers(self, small_sketch, rng):
+        from repro.core.exact import query_correlation_matrix
+        from repro.core.lemma1 import combine_matrix_chunked
+        from repro.core.segmentation import WindowSelection
+
+        sketch = small_sketch
+        for idx in (np.arange(0, 12), np.arange(2, 7), np.array([1, 4, 5])):
+            selection = WindowSelection(full_windows=idx, head=None, tail=None)
+            viewed = query_correlation_matrix(
+                InMemoryProvider(sketch), selection, chunk_windows=4
+            )
+            copied = combine_matrix_chunked(
+                (
+                    sketch.means[:, part], sketch.stds[:, part],
+                    sketch.sizes[part].astype(np.float64), sketch.covs[part],
+                )
+                for part in (idx[k : k + 4] for k in range(0, idx.size, 4))
+            )
+            np.testing.assert_array_equal(viewed, copied)
+            rows = np.array([0, 7, 19])
+            np.testing.assert_array_equal(
+                InMemoryProvider(sketch).cov_rows(idx, rows),
+                sketch.covs[idx][:, rows, :],
+            )
+
     def test_rejects_out_of_range_windows(self, small_sketch):
         provider = InMemoryProvider(small_sketch)
         with pytest.raises(SketchError):

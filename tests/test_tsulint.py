@@ -256,7 +256,7 @@ def test_tsu003_mmap_store_itself_is_exempt(tmp_path):
             "src/repro/storage/mmap_store.py": """\
             class MmapStore:
                 def _commit(self):
-                    return self._write_maps
+                    return self._read_maps
             """
         },
     )

@@ -239,7 +239,7 @@ class RawMmapRead(Rule):
         "read_windows_consistent (torn-read protection)"
     )
 
-    PRIVATE_MAPS = {"_read_maps", "_write_maps", "_readable", "_writable"}
+    PRIVATE_MAPS = {"_read_maps", "_readable"}
     VALIDATORS = {"read_generation", "read_windows_consistent"}
 
     def applies_to(self, path: str) -> bool:
